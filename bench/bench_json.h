@@ -9,6 +9,7 @@
 #ifndef STREAMASP_BENCH_BENCH_JSON_H_
 #define STREAMASP_BENCH_BENCH_JSON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -17,6 +18,17 @@
 
 namespace streamasp {
 namespace bench {
+
+/// Linear-interpolated percentile of `values`, p in [0, 1]; 0 when empty.
+inline double Percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0;
+  std::sort(values.begin(), values.end());
+  const double rank = p * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return values[lo] + (values[hi] - values[lo]) * frac;
+}
 
 /// One bench run: identity/shape fields set by the bench leg, the rest
 /// filled from the engine's EngineStats snapshot.

@@ -470,7 +470,7 @@ class ParserImpl {
   /// p(a,b); a zero-arity atom becomes a symbolic constant.
   Term AtomToTerm(const Atom& atom) {
     if (atom.args().empty()) return Term::Symbol(atom.predicate());
-    return Term::Function(atom.predicate(), atom.args());
+    return Term::Function(atom.predicate(), atom.args().ToVector());
   }
 
   StatusOr<Atom> ParseAtom() {

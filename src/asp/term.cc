@@ -5,6 +5,35 @@
 
 namespace streamasp {
 
+namespace {
+
+/// lhs op rhs; false (leaving *out untouched) for division or modulo by
+/// zero and the INT64_MIN / -1 edge case.
+bool ApplyArithOp(ArithOp op, int64_t lhs, int64_t rhs, int64_t* out) {
+  switch (op) {
+    case ArithOp::kAdd:
+      *out = lhs + rhs;
+      return true;
+    case ArithOp::kSub:
+      *out = lhs - rhs;
+      return true;
+    case ArithOp::kMul:
+      *out = lhs * rhs;
+      return true;
+    case ArithOp::kDiv:
+      if (rhs == 0 || (lhs == INT64_MIN && rhs == -1)) return false;
+      *out = lhs / rhs;
+      return true;
+    case ArithOp::kMod:
+      if (rhs == 0 || (lhs == INT64_MIN && rhs == -1)) return false;
+      *out = lhs % rhs;
+      return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 Term Term::Integer(int64_t value) { return Term(TermKind::kInteger, value); }
 
 Term Term::Symbol(SymbolId id) {
@@ -15,20 +44,31 @@ Term Term::Variable(SymbolId id) {
   return Term(TermKind::kVariable, static_cast<int64_t>(id));
 }
 
+Term::Term(TermKind kind, int64_t value, std::vector<Term> args)
+    : Term(kind, value) {
+  static_assert(alignof(Node) > kKindMask, "no room for the kind tag");
+  Node* n = new Node;
+  n->args = std::move(args);
+  rep_ |= reinterpret_cast<uintptr_t>(n);
+}
+
 Term Term::Function(SymbolId functor, std::vector<Term> args) {
   assert(!args.empty() && "zero-arity function should be a Symbol");
-  Term t(TermKind::kFunction, static_cast<int64_t>(functor));
-  t.args_ = std::make_shared<const std::vector<Term>>(std::move(args));
-  return t;
+  return Term(TermKind::kFunction, static_cast<int64_t>(functor),
+              std::move(args));
 }
 
 Term Term::Arithmetic(ArithOp op, Term lhs, Term rhs) {
-  Term t(TermKind::kArithmetic, static_cast<int64_t>(op));
-  t.args_ = std::make_shared<const std::vector<Term>>(
-      std::vector<Term>{std::move(lhs), std::move(rhs)});
+  // Fold ground integer operands without building the expression.
+  int64_t l = 0;
+  int64_t r = 0;
   int64_t folded = 0;
-  if (t.EvaluateArithmetic(&folded)) return Integer(folded);
-  return t;
+  if (lhs.EvaluateArithmetic(&l) && rhs.EvaluateArithmetic(&r) &&
+      ApplyArithOp(op, l, r, &folded)) {
+    return Integer(folded);
+  }
+  return Term(TermKind::kArithmetic, static_cast<int64_t>(op),
+              std::vector<Term>{std::move(lhs), std::move(rhs)});
 }
 
 const char* ArithOpToString(ArithOp op) {
@@ -48,7 +88,7 @@ const char* ArithOpToString(ArithOp op) {
 }
 
 bool Term::IsGround() const {
-  switch (kind_) {
+  switch (kind()) {
     case TermKind::kInteger:
     case TermKind::kSymbol:
       return true;
@@ -56,7 +96,7 @@ bool Term::IsGround() const {
       return false;
     case TermKind::kFunction:
     case TermKind::kArithmetic:
-      for (const Term& arg : *args_) {
+      for (const Term& arg : args()) {
         if (!arg.IsGround()) return false;
       }
       return true;
@@ -65,7 +105,7 @@ bool Term::IsGround() const {
 }
 
 void Term::CollectVariables(std::vector<SymbolId>* out) const {
-  switch (kind_) {
+  switch (kind()) {
     case TermKind::kInteger:
     case TermKind::kSymbol:
       return;
@@ -74,7 +114,7 @@ void Term::CollectVariables(std::vector<SymbolId>* out) const {
       return;
     case TermKind::kFunction:
     case TermKind::kArithmetic:
-      for (const Term& arg : *args_) {
+      for (const Term& arg : args()) {
         arg.CollectVariables(out);
       }
       return;
@@ -82,7 +122,7 @@ void Term::CollectVariables(std::vector<SymbolId>* out) const {
 }
 
 void Term::CollectBindableVariables(std::vector<SymbolId>* out) const {
-  switch (kind_) {
+  switch (kind()) {
     case TermKind::kInteger:
     case TermKind::kSymbol:
     case TermKind::kArithmetic:  // Matching cannot invert arithmetic.
@@ -91,7 +131,7 @@ void Term::CollectBindableVariables(std::vector<SymbolId>* out) const {
       out->push_back(symbol());
       return;
     case TermKind::kFunction:
-      for (const Term& arg : *args_) {
+      for (const Term& arg : args()) {
         arg.CollectBindableVariables(out);
       }
       return;
@@ -99,7 +139,7 @@ void Term::CollectBindableVariables(std::vector<SymbolId>* out) const {
 }
 
 bool Term::EvaluateArithmetic(int64_t* out) const {
-  switch (kind_) {
+  switch (kind()) {
     case TermKind::kInteger:
       *out = value_;
       return true;
@@ -110,37 +150,16 @@ bool Term::EvaluateArithmetic(int64_t* out) const {
     case TermKind::kArithmetic: {
       int64_t lhs = 0;
       int64_t rhs = 0;
-      if (!(*args_)[0].EvaluateArithmetic(&lhs) ||
-          !(*args_)[1].EvaluateArithmetic(&rhs)) {
-        return false;
-      }
-      switch (arith_op()) {
-        case ArithOp::kAdd:
-          *out = lhs + rhs;
-          return true;
-        case ArithOp::kSub:
-          *out = lhs - rhs;
-          return true;
-        case ArithOp::kMul:
-          *out = lhs * rhs;
-          return true;
-        case ArithOp::kDiv:
-          if (rhs == 0 || (lhs == INT64_MIN && rhs == -1)) return false;
-          *out = lhs / rhs;
-          return true;
-        case ArithOp::kMod:
-          if (rhs == 0 || (lhs == INT64_MIN && rhs == -1)) return false;
-          *out = lhs % rhs;
-          return true;
-      }
-      return false;
+      return args()[0].EvaluateArithmetic(&lhs) &&
+             args()[1].EvaluateArithmetic(&rhs) &&
+             ApplyArithOp(arith_op(), lhs, rhs, out);
     }
   }
   return false;
 }
 
 std::string Term::ToString(const SymbolTable& symbols) const {
-  switch (kind_) {
+  switch (kind()) {
     case TermKind::kInteger:
       return std::to_string(value_);
     case TermKind::kSymbol:
@@ -149,47 +168,41 @@ std::string Term::ToString(const SymbolTable& symbols) const {
     case TermKind::kFunction: {
       std::string out = symbols.NameOf(symbol());
       out += '(';
-      for (size_t i = 0; i < args_->size(); ++i) {
+      for (size_t i = 0; i < args().size(); ++i) {
         if (i > 0) out += ',';
-        out += (*args_)[i].ToString(symbols);
+        out += args()[i].ToString(symbols);
       }
       out += ')';
       return out;
     }
     case TermKind::kArithmetic:
       // Fully parenthesized: precedence was resolved at parse time.
-      return "(" + (*args_)[0].ToString(symbols) + ArithOpToString(arith_op()) +
-             (*args_)[1].ToString(symbols) + ")";
+      return "(" + args()[0].ToString(symbols) + ArithOpToString(arith_op()) +
+             args()[1].ToString(symbols) + ")";
   }
   return "?";
 }
 
 bool operator==(const Term& a, const Term& b) {
-  if (a.kind_ != b.kind_ || a.value_ != b.value_) return false;
-  if (a.kind_ != TermKind::kFunction &&
-      a.kind_ != TermKind::kArithmetic) {
-    return true;
-  }
-  if (a.args_ == b.args_) return true;  // Shared storage fast path.
-  return *a.args_ == *b.args_;
+  if (a.rep_ == b.rep_) return a.value_ == b.value_;  // Same kind and block.
+  if (a.kind() != b.kind() || a.value_ != b.value_) return false;
+  if (!a.is_function() && !a.is_arithmetic()) return true;
+  return a.args() == b.args();
 }
 
 bool operator<(const Term& a, const Term& b) {
-  if (a.kind_ != b.kind_) return a.kind_ < b.kind_;
+  if (a.kind() != b.kind()) return a.kind() < b.kind();
   if (a.value_ != b.value_) return a.value_ < b.value_;
-  if (a.kind_ != TermKind::kFunction &&
-      a.kind_ != TermKind::kArithmetic) {
-    return false;
-  }
-  if (a.args_ == b.args_) return false;
-  return *a.args_ < *b.args_;  // Lexicographic via vector's operator<.
+  if (!a.is_function() && !a.is_arithmetic()) return false;
+  if (a.node() == b.node()) return false;
+  return a.args() < b.args();  // Lexicographic via vector's operator<.
 }
 
 size_t Term::Hash() const {
-  size_t h = HashCombine(static_cast<size_t>(kind_),
+  size_t h = HashCombine(static_cast<size_t>(kind()),
                          std::hash<int64_t>()(value_));
-  if (kind_ == TermKind::kFunction || kind_ == TermKind::kArithmetic) {
-    for (const Term& arg : *args_) {
+  if (is_function() || is_arithmetic()) {
+    for (const Term& arg : args()) {
       h = HashCombine(h, arg.Hash());
     }
   }

@@ -1,9 +1,10 @@
 #ifndef STREAMASP_ASP_TERM_H_
 #define STREAMASP_ASP_TERM_H_
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "asp/symbol_table.h"
@@ -32,8 +33,10 @@ enum class ArithOp : uint8_t {
 const char* ArithOpToString(ArithOp op);
 
 /// An ASP term: integer, symbolic constant, variable, or compound function
-/// term. Value type with deep equality and hashing; compound arguments are
-/// stored behind a shared_ptr so copies are cheap.
+/// term. Value type with deep equality and hashing, two words wide: the
+/// payload and a tagged word holding the kind in its low bits and, for
+/// compound terms, a pointer to a shared reference-counted argument block,
+/// so copies are cheap and a term nests inline in atoms and bindings.
 class Term {
  public:
   /// Creates an integer term.
@@ -55,14 +58,33 @@ class Term {
   static Term Arithmetic(ArithOp op, Term lhs, Term rhs);
 
   /// Default-constructs the integer 0 (so Term is regular).
-  Term() : kind_(TermKind::kInteger), value_(0) {}
+  Term() : Term(TermKind::kInteger, 0) {}
 
-  TermKind kind() const { return kind_; }
-  bool is_integer() const { return kind_ == TermKind::kInteger; }
-  bool is_symbol() const { return kind_ == TermKind::kSymbol; }
-  bool is_variable() const { return kind_ == TermKind::kVariable; }
-  bool is_function() const { return kind_ == TermKind::kFunction; }
-  bool is_arithmetic() const { return kind_ == TermKind::kArithmetic; }
+  Term(const Term& other) : value_(other.value_), rep_(other.rep_) {
+    Retain();
+  }
+  Term(Term&& other) noexcept : value_(other.value_), rep_(other.rep_) {
+    other.value_ = 0;
+    other.rep_ = static_cast<uintptr_t>(TermKind::kInteger);
+  }
+  Term& operator=(const Term& other) {
+    Term copy(other);
+    Swap(copy);
+    return *this;
+  }
+  Term& operator=(Term&& other) noexcept {
+    Term moved(std::move(other));
+    Swap(moved);
+    return *this;
+  }
+  ~Term() { Release(); }
+
+  TermKind kind() const { return static_cast<TermKind>(rep_ & kKindMask); }
+  bool is_integer() const { return kind() == TermKind::kInteger; }
+  bool is_symbol() const { return kind() == TermKind::kSymbol; }
+  bool is_variable() const { return kind() == TermKind::kVariable; }
+  bool is_function() const { return kind() == TermKind::kFunction; }
+  bool is_arithmetic() const { return kind() == TermKind::kArithmetic; }
 
   /// Integer payload. Requires is_integer().
   int64_t integer_value() const { return value_; }
@@ -76,7 +98,7 @@ class Term {
 
   /// Arguments of a compound or arithmetic term (arithmetic terms have
   /// exactly two: lhs, rhs). Requires is_function() || is_arithmetic().
-  const std::vector<Term>& args() const { return *args_; }
+  const std::vector<Term>& args() const;
 
   /// True iff the term contains no variables (recursively).
   bool IsGround() const;
@@ -111,13 +133,49 @@ class Term {
   size_t Hash() const;
 
  private:
-  Term(TermKind kind, int64_t value) : kind_(kind), value_(value) {}
+  /// The shared argument block of a compound term.
+  struct Node;
 
-  TermKind kind_;
+  static constexpr uintptr_t kKindMask = 7;
+
+  Term(TermKind kind, int64_t value)
+      : value_(value), rep_(static_cast<uintptr_t>(kind)) {}
+  /// A compound term owning a fresh argument block.
+  Term(TermKind kind, int64_t value, std::vector<Term> args);
+
+  Node* node() const { return reinterpret_cast<Node*>(rep_ & ~kKindMask); }
+  void Retain() const;
+  void Release();
+  void Swap(Term& other) noexcept {
+    std::swap(value_, other.value_);
+    std::swap(rep_, other.rep_);
+  }
+
   int64_t value_;  // Integer payload, SymbolId, or ArithOp by kind.
-  // Children for kFunction (n-ary) and kArithmetic (always binary).
-  std::shared_ptr<const std::vector<Term>> args_;
+  /// Kind in the low three bits; for kFunction (n-ary) and kArithmetic
+  /// (always binary) the rest is the 8-aligned Node pointer.
+  uintptr_t rep_;
 };
+
+static_assert(sizeof(Term) == 16, "Term must stay two words");
+
+struct Term::Node {
+  std::atomic<uint32_t> refs{1};
+  std::vector<Term> args;
+};
+
+inline const std::vector<Term>& Term::args() const { return node()->args; }
+
+inline void Term::Retain() const {
+  if (Node* n = node()) n->refs.fetch_add(1, std::memory_order_relaxed);
+}
+
+inline void Term::Release() {
+  Node* n = node();
+  if (n != nullptr && n->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    delete n;
+  }
+}
 
 /// Hash functor so Term can key unordered containers.
 struct TermHash {

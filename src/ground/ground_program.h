@@ -1,9 +1,11 @@
 #ifndef STREAMASP_GROUND_GROUND_PROGRAM_H_
 #define STREAMASP_GROUND_GROUND_PROGRAM_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "asp/atom.h"
@@ -19,25 +21,125 @@ using GroundAtomId = uint32_t;
 inline constexpr GroundAtomId kInvalidGroundAtom =
     static_cast<GroundAtomId>(-1);
 
-/// Hashes an Atom by mixing its packed argument words instead of the deep
-/// recursive Term hash: each argument folds to one tagged 64-bit word
-/// (compound arguments to their canonical arena id), so the per-probe cost
-/// is a handful of bit operations per argument regardless of term depth.
-struct PackedAtomHash {
-  size_t operator()(const Atom& a) const {
-    uint64_t h = PackedBitsHash()(a.predicate());
-    for (const Term& arg : a.args()) {
-      h = HashCombine(h, PackedBitsHash()(PackedTerm(arg).bits()));
-    }
-    return h;
+/// A short list of ground atom ids with inline storage for up to kInline
+/// ids; longer lists spill to one heap block. Ground rules are
+/// overwhelmingly short (one head, a few body literals), so the common
+/// rule owns no heap block at all: a rule vector cleared between windows
+/// refills without allocating, and a rule is its 72 inline bytes where
+/// three std::vectors would add three heap blocks. Exposes the subset of
+/// std::vector's interface the grounders and solvers use.
+class IdList {
+ public:
+  static constexpr uint32_t kInline = 4;
+
+  using value_type = GroundAtomId;
+  using iterator = GroundAtomId*;
+  using const_iterator = const GroundAtomId*;
+
+  IdList() {}
+  IdList(std::initializer_list<GroundAtomId> ids) {
+    assign(ids.begin(), ids.end());
   }
+  IdList(const IdList& other) { assign(other.begin(), other.end()); }
+  IdList(IdList&& other) noexcept { Steal(&other); }
+  IdList& operator=(const IdList& other) {
+    if (this != &other) assign(other.begin(), other.end());
+    return *this;
+  }
+  IdList& operator=(IdList&& other) noexcept {
+    if (this != &other) {
+      Free();
+      Steal(&other);
+    }
+    return *this;
+  }
+  ~IdList() { Free(); }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  GroundAtomId* data() { return spilled() ? heap_ : inline_; }
+  const GroundAtomId* data() const { return spilled() ? heap_ : inline_; }
+  iterator begin() { return data(); }
+  iterator end() { return data() + size_; }
+  const_iterator begin() const { return data(); }
+  const_iterator end() const { return data() + size_; }
+  GroundAtomId& operator[](size_t i) { return data()[i]; }
+  GroundAtomId operator[](size_t i) const { return data()[i]; }
+  GroundAtomId front() const { return data()[0]; }
+
+  void clear() { size_ = 0; }
+  void reserve(size_t n) {
+    if (n > capacity_) Grow(n);
+  }
+  void push_back(GroundAtomId id) {
+    if (size_ == capacity_) Grow(size_ + 1);
+    data()[size_++] = id;
+  }
+  template <typename It>
+  void assign(It first, It last) {
+    const size_t n = static_cast<size_t>(std::distance(first, last));
+    size_ = 0;
+    reserve(n);
+    std::copy(first, last, data());
+    size_ = static_cast<uint32_t>(n);
+  }
+  /// Erases [first, last), shifting the tail down; returns first.
+  iterator erase(iterator first, iterator last) {
+    const iterator tail_end = std::copy(last, end(), first);
+    size_ = static_cast<uint32_t>(tail_end - begin());
+    return first;
+  }
+
+  friend bool operator==(const IdList& a, const IdList& b) {
+    return a.size_ == b.size_ && std::equal(a.begin(), a.end(), b.begin());
+  }
+  friend bool operator!=(const IdList& a, const IdList& b) {
+    return !(a == b);
+  }
+
+ private:
+  bool spilled() const { return capacity_ > kInline; }
+  void Grow(size_t min_capacity);
+  void Free() {
+    if (spilled()) delete[] heap_;
+  }
+  /// Takes `other`'s contents and leaves it empty and inline.
+  void Steal(IdList* other) {
+    size_ = other->size_;
+    capacity_ = other->capacity_;
+    if (other->spilled()) {
+      heap_ = other->heap_;
+    } else {
+      std::copy(other->inline_, other->inline_ + other->size_, inline_);
+    }
+    other->size_ = 0;
+    other->capacity_ = kInline;
+  }
+
+  uint32_t size_ = 0;
+  uint32_t capacity_ = kInline;
+  union {
+    GroundAtomId inline_[kInline];
+    GroundAtomId* heap_;
+  };
 };
 
-/// Bidirectional map between ground Atoms and dense ids, used to give the
-/// solver an integer-indexed view of the ground program. The table also
-/// keeps a columnar packed-argument mirror (one tagged 64-bit word per
-/// argument slot) so the grounder's match loops and join indexes can read
-/// candidate arguments slot-wise without touching the Atom's Term vector.
+static_assert(sizeof(IdList) == 24, "IdList must stay one vector header");
+
+/// Bidirectional map between ground atoms and dense ids, used to give the
+/// solver an integer-indexed view of the ground program.
+///
+/// Atoms are stored packed: per id the predicate plus one tagged 64-bit
+/// word per argument in a columnar mirror, which the grounders' match
+/// loops and join indexes read slot-wise. The intern index is an
+/// open-addressing table of (id, hash tag) words keyed by
+/// (predicate, packed argument words): a probe hashes and compares a few
+/// words, never a Term tree, and interning a new atom appends to three
+/// flat arrays without allocating once their capacity is warm. Atoms are
+/// rebuilt from their words on demand (GetAtom). Clear() forgets every
+/// atom but keeps all capacity, so a table reused across windows stops
+/// allocating after the largest window it has seen.
 class AtomTable {
  public:
   AtomTable() = default;
@@ -47,15 +149,31 @@ class AtomTable {
   AtomTable(AtomTable&&) noexcept = default;
   AtomTable& operator=(AtomTable&&) noexcept = default;
 
-  /// Returns the id for `atom`, interning on first use (a single hash
-  /// probe: try_emplace on both the hit and the miss path).
+  /// Returns the id for `atom`, interning on first use.
   GroundAtomId Intern(const Atom& atom);
+
+  /// Returns the id for predicate(args[0], ..., args[arity - 1]),
+  /// interning on first use — the grounders' hot path, which packs
+  /// instances straight from a binding without building an Atom.
+  GroundAtomId InternPacked(SymbolId predicate, const PackedTerm* args,
+                            uint32_t arity);
 
   /// Returns the id for `atom` or kInvalidGroundAtom if never interned.
   GroundAtomId Lookup(const Atom& atom) const;
 
-  /// The atom for an id. Requires a valid id.
-  const Atom& GetAtom(GroundAtomId id) const;
+  /// Packed-word form of Lookup.
+  GroundAtomId LookupPacked(SymbolId predicate, const PackedTerm* args,
+                            uint32_t arity) const;
+
+  /// The atom for an id, rebuilt from its packed words. Requires a valid
+  /// id.
+  Atom GetAtom(GroundAtomId id) const;
+
+  /// The predicate and signature of an id without rebuilding the atom.
+  SymbolId Predicate(GroundAtomId id) const { return predicates_[id]; }
+  PredicateSignature Signature(GroundAtomId id) const {
+    return PredicateSignature{predicates_[id], PackedArity(id)};
+  }
 
   /// The packed argument words of an id, PackedArity(id) slots. Requires
   /// a valid id; the pointer is invalidated by the next Intern.
@@ -70,14 +188,32 @@ class AtomTable {
   /// atom count in the incremental engines).
   void Reserve(size_t atoms);
 
-  /// Approximate retained bytes: atom payloads + packed mirror + index.
+  /// Forgets every atom (ids restart at 0) and keeps all capacity.
+  void Clear();
+
+  /// Retained bytes: the capacity of every array, index included — what
+  /// the table holds between windows, not just what its atoms use.
   size_t ApproxBytes() const;
 
-  size_t size() const { return atoms_.size(); }
+  size_t size() const { return predicates_.size(); }
 
  private:
-  std::unordered_map<Atom, GroundAtomId, PackedAtomHash> index_;
-  std::vector<Atom> atoms_;
+  /// Index slot: 0 when empty, else (hash tag << 32) | (id + 1).
+  using Slot = uint64_t;
+
+  static uint64_t HashKey(SymbolId predicate, const PackedTerm* args,
+                          uint32_t arity);
+  bool Equals(GroundAtomId id, SymbolId predicate, const PackedTerm* args,
+              uint32_t arity) const;
+  /// Probes for the key; returns the matching id, or kInvalidGroundAtom
+  /// with *slot set to the empty slot where it would be inserted.
+  GroundAtomId Find(uint64_t hash, SymbolId predicate,
+                    const PackedTerm* args, uint32_t arity,
+                    size_t* slot) const;
+  void Rehash(size_t slots);
+
+  std::vector<Slot> index_;  ///< Power-of-two size, at most half full.
+  std::vector<SymbolId> predicates_;
   /// Columnar packed mirror of every atom's arguments: atom id's slots
   /// are packed_args_[arg_offsets_[id] .. arg_offsets_[id + 1]).
   std::vector<uint32_t> arg_offsets_{0};
@@ -91,9 +227,9 @@ class AtomTable {
 ///
 /// head.empty() encodes an integrity constraint.
 struct GroundRule {
-  std::vector<GroundAtomId> head;
-  std::vector<GroundAtomId> positive_body;
-  std::vector<GroundAtomId> negative_body;
+  IdList head;
+  IdList positive_body;
+  IdList negative_body;
 
   bool is_fact() const {
     return head.size() == 1 && positive_body.empty() &&

@@ -2,6 +2,7 @@
 #define STREAMASP_GROUND_GROUNDER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "asp/program.h"
@@ -67,6 +68,48 @@ struct GroundingStats {
   }
 };
 
+class GroundingPlan;
+
+/// A program prepared for repeated cold grounding — validation, the
+/// predicate registry, the SCC schedule and the compiled rules — built
+/// once by PrepareGrounding. Immutable, so any number of workspaces (and
+/// threads) share one.
+using GroundingPlanPtr = std::shared_ptr<const GroundingPlan>;
+
+/// Prepares `program`, which must outlive the plan. A program that fails
+/// validation still yields a plan; every Ground call on it returns the
+/// validation error.
+GroundingPlanPtr PrepareGrounding(const Program* program);
+
+/// Per-caller state of the cold Grounder for one prepared program: the
+/// output program (atom table + rules), the predicate extensions with
+/// their join indexes, the match scratch and the simplification buffers.
+/// Everything is cleared, not freed, at the start of each Ground call, so
+/// a workspace reused across windows stops allocating once it has seen
+/// its largest window, and retains no more than that window needed.
+/// One caller at a time; callers running concurrently each keep their
+/// own workspace over a shared plan.
+class GroundingWorkspace {
+ public:
+  explicit GroundingWorkspace(GroundingPlanPtr plan);
+  ~GroundingWorkspace();
+  GroundingWorkspace(GroundingWorkspace&&) noexcept;
+  GroundingWorkspace& operator=(GroundingWorkspace&&) noexcept;
+
+  /// The program grounded by the last successful Ground call on this
+  /// workspace, valid until the next call (unspecified after a failed
+  /// one).
+  const GroundProgram& ground() const;
+
+  /// Moves the last grounded program out; the workspace stays usable.
+  GroundProgram TakeGround();
+
+ private:
+  friend class Grounder;
+  class Engine;
+  std::unique_ptr<Engine> engine_;
+};
+
 /// Bottom-up instantiator: turns a (safe) non-ground program plus input
 /// facts into an equivalent GroundProgram.
 ///
@@ -100,6 +143,14 @@ class Grounder {
   StatusOr<GroundProgram> Ground(const Program& program,
                                  const std::vector<Atom>& input_facts,
                                  GroundingStats* stats = nullptr) const;
+
+  /// Grounds the workspace's program extended with `input_facts` into
+  /// `workspace` (see GroundingWorkspace::ground()), reusing its capacity.
+  /// The overloads above are exactly this call on a throwaway workspace
+  /// over a fresh plan.
+  Status Ground(const std::vector<Atom>& input_facts,
+                GroundingWorkspace* workspace,
+                GroundingStats* stats = nullptr) const;
 
  private:
   GroundingOptions options_;

@@ -19,14 +19,10 @@ namespace {
 
 using ground_internal::Binding;
 using ground_internal::CompiledRule;
-using ground_internal::ContainsUnfoldedArithmetic;
 using ground_internal::MatchPackedTerm;
-using ground_internal::MatchTerm;
-using ground_internal::PrecomputeGroundFlags;
+using ground_internal::PackInstance;
 using ground_internal::PredicateExtension;
 using ground_internal::ResolveComparisons;
-using ground_internal::SubstituteAtomFast;
-using ground_internal::SubstituteTerm;
 
 constexpr uint32_t kNoPosition = static_cast<uint32_t>(-1);
 constexpr uint32_t kNoSlot = static_cast<uint32_t>(-1);
@@ -72,6 +68,11 @@ class IncrementalGrounder::Engine {
   // --- dynamic cache primitives ---
   AtomTable& atoms() { return out_.mutable_atoms(); }
   GroundAtomId InternAtom(const Atom& atom);
+  /// Interns the instance of `pattern` packed in words_ (see
+  /// PackInstance); `pred` is the pattern's predicate index.
+  GroundAtomId InternInstance(const Atom& pattern, int pred);
+  /// Sizes the per-atom arrays to cover `id`.
+  void TrackAtom(GroundAtomId id);
   void Derive(GroundAtomId id);
   GroundAtomId AddDerivedAtom(const Atom& atom);
   void RetractAtom(GroundAtomId id, std::vector<GroundAtomId>* worklist);
@@ -132,6 +133,16 @@ class IncrementalGrounder::Engine {
   bool cache_valid_ = false;
   uint64_t cached_sequence_ = 0;
   GroundProgram out_;  ///< Owns the atom table + the per-window output.
+  ground_internal::SimplifyScratch simplify_scratch_;
+  /// Packed instance of the head or negative being emitted, sized to the
+  /// widest such pattern by Prepare.
+  std::vector<PackedTerm> words_;
+  // Match scratch of the rule being evaluated (one at a time), kept so
+  // evaluation does not allocate per rule.
+  Binding binding_;
+  std::vector<GroundAtomId> matched_;
+  std::vector<bool> comparison_done_;
+  std::vector<size_t> upfront_done_;
   std::vector<bool> derivable_;
   std::vector<int> atom_pred_;         ///< Atom id -> predicate index.
   std::vector<uint32_t> support_;      ///< Deriving rules + window count.
@@ -239,7 +250,12 @@ Status IncrementalGrounder::Engine::Prepare() {
         }
       }
     }
-    PrecomputeGroundFlags(&cr);
+    for (const Atom& a : cr.heads) {
+      words_.resize(std::max<size_t>(words_.size(), a.arity()));
+    }
+    for (const Atom& a : cr.negatives) {
+      words_.resize(std::max<size_t>(words_.size(), a.arity()));
+    }
     cr.component = cr.heads.empty()
                        ? num_components_
                        : pred_component_[cr.head_preds.front()];
@@ -267,8 +283,7 @@ Status IncrementalGrounder::Engine::Prepare() {
   return OkStatus();
 }
 
-GroundAtomId IncrementalGrounder::Engine::InternAtom(const Atom& atom) {
-  const GroundAtomId id = atoms().Intern(atom);
+void IncrementalGrounder::Engine::TrackAtom(GroundAtomId id) {
   if (id >= atom_pred_.size()) {
     atom_pred_.resize(id + 1, -2);
     derivable_.resize(id + 1, false);
@@ -276,7 +291,21 @@ GroundAtomId IncrementalGrounder::Engine::InternAtom(const Atom& atom) {
     ext_pos_.resize(id + 1, kNoPosition);
     body_rules_.resize(id + 1);
   }
+}
+
+GroundAtomId IncrementalGrounder::Engine::InternAtom(const Atom& atom) {
+  const GroundAtomId id = atoms().Intern(atom);
+  TrackAtom(id);
   if (atom_pred_[id] == -2) atom_pred_[id] = PredIndex(atom.signature());
+  return id;
+}
+
+GroundAtomId IncrementalGrounder::Engine::InternInstance(const Atom& pattern,
+                                                         int pred) {
+  const GroundAtomId id = atoms().InternPacked(
+      pattern.predicate(), words_.data(), pattern.arity());
+  TrackAtom(id);
+  if (atom_pred_[id] == -2) atom_pred_[id] = pred;
   return id;
 }
 
@@ -551,29 +580,27 @@ Status IncrementalGrounder::Engine::MatchFrom(
   int index_position = -1;
   PackedTerm index_key;
   for (size_t p = 0; p < pattern.args().size(); ++p) {
-    Term substituted = SubstituteTerm(pattern.args()[p], *binding);
-    if (substituted.IsGround()) {
+    index_key = ground_internal::BoundWord(pattern.args()[p], *binding);
+    if (index_key.has_value()) {
       index_position = static_cast<int>(p);
-      index_key = PackedTerm(substituted);
       break;
     }
   }
 
   // Buckets are keyed by the argument's packed word, read off the atom
   // table's columnar mirror — no Term hashing on the probe or build path.
-  const std::vector<uint32_t>* bucket = nullptr;
+  ground_internal::PositionIndex* index = nullptr;
   if (index_position >= 0) {
     if (ext.indexes.empty()) ext.indexes.resize(pattern.args().size());
-    ground_internal::PositionIndex& index = ext.indexes[index_position];
-    while (index.indexed_until < ext.atoms.size()) {
-      const uint32_t i = static_cast<uint32_t>(index.indexed_until++);
-      if (ext.atoms[i] == kInvalidGroundAtom) continue;  // Tombstone.
-      index.map[atoms().PackedArgs(ext.atoms[i])[index_position].bits()]
-          .push_back(i);
+    index = &ext.indexes[index_position];
+    while (index->indexed_until() < ext.atoms.size()) {
+      const GroundAtomId id = ext.atoms[index->indexed_until()];
+      if (id == kInvalidGroundAtom) {
+        index->Skip();  // Tombstone.
+      } else {
+        index->Append(atoms().PackedArgs(id)[index_position].bits());
+      }
     }
-    auto it = index.map.find(index_key.bits());
-    if (it == index.map.end()) return OkStatus();
-    bucket = &it->second;
   }
 
   auto try_candidate = [&](size_t extension_index) -> Status {
@@ -601,16 +628,15 @@ Status IncrementalGrounder::Engine::MatchFrom(
     return OkStatus();
   };
 
-  if (bucket != nullptr) {
-    // Iterate by index over a size snapshot: a later literal of the same
-    // predicate can lazily extend this very index while we are suspended
-    // in the recursion, reallocating the bucket under a range-for (the
-    // map's value reference itself survives rehashing). Entries appended
-    // mid-iteration lie beyond range_end and are skipped regardless.
-    const size_t bucket_size = bucket->size();
-    for (size_t b = 0; b < bucket_size; ++b) {
-      const uint32_t i = (*bucket)[b];
-      if (i < range_begin || i >= range_end) continue;
+  if (index != nullptr) {
+    // Buckets list extension indexes in ascending order. A later literal
+    // of the same predicate can lazily extend this very index while we
+    // are suspended in the recursion; entries it links lie beyond
+    // range_end, so the walk stops before them.
+    for (uint32_t i = index->First(index_key.bits());
+         i != ground_internal::PositionIndex::kEnd; i = index->Next(i)) {
+      if (i >= range_end) break;
+      if (i < range_begin) continue;
       STREAMASP_RETURN_IF_ERROR(try_candidate(i));
     }
   } else {
@@ -632,23 +658,20 @@ Status IncrementalGrounder::Engine::EmitInstance(
   // can still change, so the literal is kept and the per-window simplify
   // pass prunes what the current window makes underivable.
   for (size_t i = 0; i < rule->negatives.size(); ++i) {
-    const Atom instance = SubstituteAtomFast(rule->negatives[i],
-                                             rule->negatives_ground[i], binding);
-    assert(instance.IsGround() && "safety guarantees ground negatives");
-    if (ContainsUnfoldedArithmetic(instance)) {
+    if (!PackInstance(rule->negatives[i], binding, words_.data())) {
       return OkStatus();  // Undefined arithmetic: skip the instance.
     }
-    ground.negative_body.push_back(InternAtom(instance));
+    ground.negative_body.push_back(
+        InternInstance(rule->negatives[i], rule->negative_preds[i]));
   }
 
   for (size_t h = 0; h < rule->heads.size(); ++h) {
-    const Atom instance =
-        SubstituteAtomFast(rule->heads[h], rule->heads_ground[h], binding);
-    assert(instance.IsGround() && "safety guarantees ground heads");
-    if (ContainsUnfoldedArithmetic(instance)) {
+    if (!PackInstance(rule->heads[h], binding, words_.data())) {
       return OkStatus();  // Undefined arithmetic: skip the instance.
     }
-    ground.head.push_back(AddDerivedAtom(instance));
+    const GroundAtomId id = InternInstance(rule->heads[h], rule->head_preds[h]);
+    if (!derivable_[id]) Derive(id);
+    ground.head.push_back(id);
   }
   return EmitIncrementalRule(std::move(ground));
 }
@@ -657,17 +680,16 @@ Status IncrementalGrounder::Engine::EvaluateRuleAt(CompiledRule* rule,
                                                    int component,
                                                    size_t delta_position,
                                                    bool round1) {
-  Binding binding;
-  std::vector<GroundAtomId> matched(rule->positive.size(),
-                                    kInvalidGroundAtom);
-  std::vector<bool> comparison_done(rule->comparisons.size(), false);
-  std::vector<size_t> upfront_done;
-  if (!ResolveComparisons(*rule, &binding, &comparison_done,
-                          &upfront_done)) {
+  binding_.RewindTo(0);
+  matched_.assign(rule->positive.size(), kInvalidGroundAtom);
+  comparison_done_.assign(rule->comparisons.size(), false);
+  upfront_done_.clear();
+  if (!ResolveComparisons(*rule, &binding_, &comparison_done_,
+                          &upfront_done_)) {
     return OkStatus();  // The rule can never fire.
   }
-  return MatchFrom(rule, 0, component, delta_position, round1, &binding,
-                   &matched, &comparison_done);
+  return MatchFrom(rule, 0, component, delta_position, round1, &binding_,
+                   &matched_, &comparison_done_);
 }
 
 Status IncrementalGrounder::Engine::EvaluateComponentIncremental(
@@ -811,7 +833,8 @@ void IncrementalGrounder::Engine::AssembleOutput() {
   }
   call_stats_.num_rules_raw = rules.size();
   if (options_.simplify) {
-    ground_internal::SimplifyGroundRules(atoms().size(), derivable_, &rules);
+    ground_internal::SimplifyGroundRules(atoms().size(), derivable_, &rules,
+                                       &simplify_scratch_);
   }
   call_stats_.num_rules = rules.size();
   call_stats_.num_atoms = atoms().size();

@@ -109,61 +109,103 @@ bool ContainsUnfoldedArithmetic(const Term& term) {
   return false;
 }
 
-bool ContainsUnfoldedArithmetic(const Atom& atom) {
-  for (const Term& arg : atom.args()) {
-    if (ContainsUnfoldedArithmetic(arg)) return true;
+PackedTerm BoundWord(const Term& arg, const Binding& binding) {
+  switch (arg.kind()) {
+    case TermKind::kInteger:
+    case TermKind::kSymbol:
+      return PackedTerm(arg);
+    case TermKind::kVariable:
+      return binding.GetPacked(arg.symbol());
+    case TermKind::kFunction:
+    case TermKind::kArithmetic: {
+      const Term substituted = SubstituteTerm(arg, binding);
+      if (!substituted.IsGround()) return PackedTerm();
+      return PackedTerm(substituted);
+    }
   }
-  return false;
+  return PackedTerm();
 }
 
-Atom SubstituteAtom(const Atom& atom, const Binding& binding) {
-  std::vector<Term> args;
-  args.reserve(atom.args().size());
-  for (const Term& arg : atom.args()) {
-    args.push_back(SubstituteTerm(arg, binding));
-  }
-  return Atom(atom.predicate(), std::move(args));
-}
-
-Atom SubstituteAtomFast(const Atom& atom, bool pattern_ground,
-                        const Binding& binding) {
-  if (pattern_ground) return atom;  // Nothing to substitute.
-  std::vector<Term> args;
-  args.reserve(atom.args().size());
-  for (const Term& arg : atom.args()) {
+bool PackInstance(const Atom& pattern, const Binding& binding,
+                  PackedTerm* words) {
+  for (size_t i = 0; i < pattern.args().size(); ++i) {
+    const Term& arg = pattern.args()[i];
     switch (arg.kind()) {
       case TermKind::kInteger:
       case TermKind::kSymbol:
-        args.push_back(arg);  // Ground constant: plain copy.
+        words[i] = PackedTerm(arg);
         break;
       case TermKind::kVariable: {
         // Safety guarantees head/negative variables are bound by the
-        // positive body, so the lookup hits; unbound variables (only
-        // possible on unsafe input the engines reject earlier) stay put.
-        const Term* bound = binding.Get(arg.symbol());
-        args.push_back(bound != nullptr ? *bound : arg);
+        // positive body; an unbound one (only possible on unsafe input
+        // the engines reject earlier) stays a variable, as SubstituteTerm
+        // leaves it.
+        const PackedTerm bound = binding.GetPacked(arg.symbol());
+        if (!bound.has_value()) {
+          words[i] = PackedTerm(arg);
+          break;
+        }
+        // Compound values (escaped words) may carry undefined arithmetic.
+        if (bound.is_escape() && ContainsUnfoldedArithmetic(bound.ToTerm())) {
+          return false;
+        }
+        words[i] = bound;
         break;
       }
       case TermKind::kFunction:
-      case TermKind::kArithmetic:
-        args.push_back(SubstituteTerm(arg, binding));
+      case TermKind::kArithmetic: {
+        const Term substituted = SubstituteTerm(arg, binding);
+        if (ContainsUnfoldedArithmetic(substituted)) return false;
+        words[i] = PackedTerm(substituted);
         break;
+      }
     }
   }
-  return Atom(atom.predicate(), std::move(args));
+  return true;
 }
 
-void PrecomputeGroundFlags(CompiledRule* rule) {
-  rule->heads_ground.clear();
-  rule->heads_ground.reserve(rule->heads.size());
-  for (const Atom& head : rule->heads) {
-    rule->heads_ground.push_back(head.IsGround());
+void PositionIndex::Append(uint64_t key) {
+  const uint32_t i = static_cast<uint32_t>(next_.size());
+  next_.push_back(kEnd);
+  if (2 * (keys_ + 1) > slots_.size()) {
+    Rehash(std::max<size_t>(16, 2 * slots_.size()));
   }
-  rule->negatives_ground.clear();
-  rule->negatives_ground.reserve(rule->negatives.size());
-  for (const Atom& negative : rule->negatives) {
-    rule->negatives_ground.push_back(negative.IsGround());
+  Slot& slot = slots_[SlotOf(key)];
+  if (slot.head == kEnd) {
+    slot.key = key;
+    slot.head = i;
+    ++keys_;
+  } else {
+    next_[slot.tail] = i;
   }
+  slot.tail = i;
+}
+
+uint32_t PositionIndex::First(uint64_t key) const {
+  if (slots_.empty()) return kEnd;
+  return slots_[SlotOf(key)].head;
+}
+
+size_t PositionIndex::SlotOf(uint64_t key) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = PackedBitsHash()(key) & mask;
+  while (slots_[i].head != kEnd && slots_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+void PositionIndex::Rehash(size_t slots) {
+  std::vector<Slot> old;
+  old.swap(slots_);
+  slots_.resize(slots);
+  for (const Slot& slot : old) {
+    if (slot.head != kEnd) slots_[SlotOf(slot.key)] = slot;
+  }
+}
+
+void PositionIndex::Clear() {
+  if (keys_ > 0) std::fill(slots_.begin(), slots_.end(), Slot{});
+  keys_ = 0;
+  next_.clear();
 }
 
 bool ResolveComparisons(const CompiledRule& rule, Binding* binding,
@@ -210,10 +252,13 @@ bool ResolveComparisons(const CompiledRule& rule, Binding* binding,
 }
 
 void SimplifyGroundRules(size_t num_atoms, const std::vector<bool>& derivable,
-                         std::vector<GroundRule>* rules_io) {
+                         std::vector<GroundRule>* rules_io,
+                         SimplifyScratch* scratch) {
   std::vector<GroundRule>& rules = *rules_io;
-  std::vector<bool> definitely_true(num_atoms, false);
-  std::vector<bool> removed(rules.size(), false);
+  std::vector<bool>& definitely_true = scratch->definitely_true;
+  std::vector<bool>& removed = scratch->removed;
+  definitely_true.assign(num_atoms, false);
+  removed.assign(rules.size(), false);
 
   // Pass 0: erase negative literals over atoms that no rule can derive —
   // `not a` with underivable `a` always holds.
@@ -273,17 +318,26 @@ void SimplifyGroundRules(size_t num_atoms, const std::vector<bool>& derivable,
     }
   }
 
-  std::vector<GroundRule> output;
-  output.reserve(rules.size());
+  // Output, in place: one fact per definitely-true atom (ascending), then
+  // the surviving rules in order. Each definitely-true atom retired at
+  // least one fact rule, so the facts fit in the removed rules' slots:
+  // survivors are compacted to the back, slid down behind the facts, and
+  // the facts written in front.
+  size_t facts = 0;
+  for (GroundAtomId a = 0; a < num_atoms; ++a) facts += definitely_true[a];
+  size_t first = rules.size();
+  for (size_t r = rules.size(); r-- > 0;) {
+    if (!removed[r] && --first != r) rules[first] = std::move(rules[r]);
+  }
+  const size_t survivors = rules.size() - first;
+  for (size_t i = 0; i < survivors && first != facts; ++i) {
+    rules[facts + i] = std::move(rules[first + i]);
+  }
+  size_t next = 0;
   for (GroundAtomId a = 0; a < num_atoms; ++a) {
-    if (definitely_true[a]) {
-      output.push_back(GroundRule{{a}, {}, {}});
-    }
+    if (definitely_true[a]) rules[next++] = GroundRule{{a}, {}, {}};
   }
-  for (size_t r = 0; r < rules.size(); ++r) {
-    if (!removed[r]) output.push_back(std::move(rules[r]));
-  }
-  rules = std::move(output);
+  rules.resize(facts + survivors);
 }
 
 }  // namespace ground_internal

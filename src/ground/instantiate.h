@@ -12,7 +12,6 @@
 /// extension cache).
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -93,25 +92,64 @@ Term SubstituteTerm(const Term& term, const Binding& binding);
 /// division/modulo by zero. Such instances are undefined and skipped,
 /// matching Clingo's treatment of undefined arithmetic.
 bool ContainsUnfoldedArithmetic(const Term& term);
-bool ContainsUnfoldedArithmetic(const Atom& atom);
 
-Atom SubstituteAtom(const Atom& atom, const Binding& binding);
+/// The packed value of pattern argument `arg` under `binding`, or the
+/// none word when it is not yet ground: constants pack inline, variables
+/// read their bound word, and only compound or arithmetic arguments go
+/// through SubstituteTerm. Picks the join-index key in the match loops.
+PackedTerm BoundWord(const Term& arg, const Binding& binding);
 
-/// Substitution fast path shared by both grounders' EmitInstance tails:
-/// when `pattern_ground` (the precomputed Atom::IsGround() of the
-/// pattern, cached in CompiledRule) the atom is returned as-is with no
-/// per-argument work, and otherwise variable and constant arguments are
-/// resolved directly — the generic recursive SubstituteTerm runs only for
-/// compound/arithmetic arguments.
-Atom SubstituteAtomFast(const Atom& atom, bool pattern_ground,
-                        const Binding& binding);
+/// Writes the packed instance of `pattern` under `binding` to
+/// words[0 .. pattern.arity()), the grounders' emit path: the instance is
+/// interned from these words, so no Atom is built for it. Returns false
+/// when an argument is undefined arithmetic (the instance is skipped,
+/// matching ContainsUnfoldedArithmetic on the substituted atom).
+bool PackInstance(const Atom& pattern, const Binding& binding,
+                  PackedTerm* words);
 
-/// Lazily built hash index over one argument position of an extension,
-/// keyed by the argument's packed 64-bit word (deep Term hashing only
-/// happens once per distinct compound value, inside arena interning).
-struct PositionIndex {
-  std::unordered_map<uint64_t, std::vector<uint32_t>, PackedBitsHash> map;
-  size_t indexed_until = 0;  // Extension prefix already indexed.
+/// Lazily built join index over one argument position of an extension:
+/// extension indexes grouped by the argument's packed 64-bit word (deep
+/// Term hashing only happens once per distinct compound value, inside
+/// arena interning). Buckets are intrusive lists threaded through one
+/// next-link per indexed entry, headed from an open-addressing key table,
+/// so building and probing allocate nothing once capacity is warm and
+/// Clear() keeps every array. A bucket lists its extension indexes in
+/// ascending order, and appending while a bucket is being walked only
+/// links entries beyond the walker's range.
+class PositionIndex {
+ public:
+  static constexpr uint32_t kEnd = static_cast<uint32_t>(-1);
+
+  /// Extension prefix already indexed.
+  size_t indexed_until() const { return next_.size(); }
+
+  /// Indexes extension entry indexed_until() under `key`.
+  void Append(uint64_t key);
+  /// Advances past extension entry indexed_until() without indexing it
+  /// (a tombstone).
+  void Skip() { next_.push_back(kEnd); }
+
+  /// First extension index of `key`'s bucket, or kEnd.
+  uint32_t First(uint64_t key) const;
+  /// The bucket entry after extension index `i`, or kEnd.
+  uint32_t Next(uint32_t i) const { return next_[i]; }
+
+  /// Empties the index and keeps its capacity.
+  void Clear();
+
+ private:
+  struct Slot {
+    uint64_t key = 0;
+    uint32_t head = kEnd;  ///< kEnd marks an empty slot.
+    uint32_t tail = kEnd;
+  };
+
+  size_t SlotOf(uint64_t key) const;
+  void Rehash(size_t slots);
+
+  std::vector<Slot> slots_;  ///< Power-of-two size, at most half full.
+  size_t keys_ = 0;
+  std::vector<uint32_t> next_;
 };
 
 /// All derived ("possible") ground atoms of one predicate, in derivation
@@ -130,6 +168,13 @@ struct PredicateExtension {
   // only): [window_start, atoms.size()) is the window's admission delta.
   size_t window_start = 0;
   std::vector<PositionIndex> indexes;  // Sized to arity on first use.
+
+  /// Empties the extension for the next window, keeping its capacity.
+  void Clear() {
+    atoms.clear();
+    delta_begin = delta_end = window_start = 0;
+    for (PositionIndex& index : indexes) index.Clear();
+  }
 };
 
 /// A rule preprocessed for instantiation.
@@ -145,15 +190,7 @@ struct CompiledRule {
   int component = 0;
   bool recursive = false;
   std::vector<size_t> same_component_positions;  // Indices into `positive`.
-  // Precomputed Atom::IsGround() per head/negative pattern, so
-  // SubstituteAtomFast can short-circuit without walking the args.
-  std::vector<bool> heads_ground;
-  std::vector<bool> negatives_ground;
 };
-
-/// Fills the precomputed per-pattern groundness flags; call once after a
-/// CompiledRule's heads/negatives are final (both engines' CompileRules).
-void PrecomputeGroundFlags(CompiledRule* rule);
 
 /// Attempts to resolve pending comparison literals under `binding`.
 /// Comparisons whose two sides become ground are evaluated (undefined
@@ -167,6 +204,13 @@ bool ResolveComparisons(const CompiledRule& rule, Binding* binding,
                         std::vector<bool>* comparison_done,
                         std::vector<size_t>* newly_done);
 
+/// Reusable buffers of SimplifyGroundRules; a caller that simplifies
+/// every window keeps one so the pass stops allocating after warm-up.
+struct SimplifyScratch {
+  std::vector<bool> definitely_true;
+  std::vector<bool> removed;
+};
+
 /// Equivalence-preserving simplification of a ground program, in place:
 /// negative literals on underivable atoms are erased, definite facts are
 /// propagated out of positive bodies, and rules satisfied outright (a
@@ -176,7 +220,8 @@ bool ResolveComparisons(const CompiledRule& rule, Binding* binding,
 /// Stable models are preserved exactly. `num_atoms` bounds the atom ids
 /// appearing in `rules`.
 void SimplifyGroundRules(size_t num_atoms, const std::vector<bool>& derivable,
-                         std::vector<GroundRule>* rules);
+                         std::vector<GroundRule>* rules,
+                         SimplifyScratch* scratch);
 
 }  // namespace ground_internal
 }  // namespace streamasp

@@ -19,16 +19,18 @@ namespace streamasp {
 /// parameterized over rule storage by its two front-ends:
 ///
 ///   * BuildFromRules — the static shape: ingest a normalized rule vector
-///     once, with degree pre-counting so every occurrence list is
-///     allocated exactly once (the dominant build cost on large ground
-///     programs). Used by Solver::Solve, which discards the core after
-///     one enumeration.
+///     in one pass, with degree pre-counting so every occurrence list
+///     grows at most once (the dominant build cost on large ground
+///     programs). Used by Solver::Solve through a SolveWorkspace, which
+///     rebuilds the same core call after call over retained buffers.
 ///   * Reset / EnsureAtomCapacity / AddRule / RemoveRule — the patched
 ///     arena shape: rules hook and unhook individually, removal
 ///     swap-compacts the rule arrays (mirroring the incremental
 ///     grounder's store compaction) so every per-rule array stays dense
-///     for the linear passes. Used by IncrementalSolver, which keeps the
-///     core alive across windows and patches it with GroundingDeltas.
+///     for the linear passes. Each hooked rule keeps back-links to its
+///     list entries, so unhooking costs O(rule size), not O(list
+///     length). Used by IncrementalSolver, which keeps the core alive
+///     across windows and patches it with GroundingDeltas.
 ///
 /// Invariants maintained per rule:
 ///   body_unassigned_[r]  — body literals whose atom is still unknown,
@@ -64,8 +66,8 @@ class PropagationCore {
   struct CoreRule {
     static constexpr int32_t kNoHead = -1;
     int32_t head = kNoHead;
-    std::vector<GroundAtomId> pos;
-    std::vector<GroundAtomId> neg;
+    IdList pos;
+    IdList neg;
   };
 
   static constexpr uint32_t kNoRuleIndex = static_cast<uint32_t>(-1);
@@ -73,32 +75,37 @@ class PropagationCore {
   // -------------------------------------------------------------------
   // Static storage front-end (cold solver).
 
-  /// Ingests a complete normalized program in one pass: pre-counts the
-  /// per-atom occurrence degrees so each list is allocated exactly once
-  /// instead of growing by repeated push_back reallocation.
-  void BuildFromRules(std::vector<CoreRule> rules, size_t num_atoms) {
+  /// Ingests a complete normalized program in one pass: `fill` appends
+  /// the rules to the (emptied) rule array in place, then the per-atom
+  /// occurrence degrees are pre-counted so each list grows at most once
+  /// instead of by repeated push_back reallocation. A core rebuilt this
+  /// way call after call keeps every buffer it has grown. Builds no
+  /// back-links: a static core is never patched (RemoveRule).
+  template <typename Fill>
+  void BuildFromRules(size_t num_atoms, Fill&& fill) {
     Reset();
     EnsureAtomCapacity(num_atoms);
-    rules_ = std::move(rules);
+    fill(&rules_);
     body_unassigned_.resize(rules_.size(), 0);
     body_false_.resize(rules_.size(), 0);
     support_missing_.resize(rules_.size(), 0);
 
-    std::vector<uint32_t> occ_degree(num_atoms, 0);
-    std::vector<uint32_t> pos_degree(num_atoms, 0);
-    std::vector<uint32_t> head_degree(num_atoms, 0);
+    occurrences_ready_ = true;
+    occ_degree_.assign(num_atoms, 0);
+    pos_degree_.assign(num_atoms, 0);
+    head_degree_.assign(num_atoms, 0);
     for (const CoreRule& rule : rules_) {
       for (GroundAtomId a : rule.pos) {
-        ++occ_degree[a];
-        ++pos_degree[a];
+        ++occ_degree_[a];
+        ++pos_degree_[a];
       }
-      for (GroundAtomId a : rule.neg) ++occ_degree[a];
-      if (rule.head != CoreRule::kNoHead) ++head_degree[rule.head];
+      for (GroundAtomId a : rule.neg) ++occ_degree_[a];
+      if (rule.head != CoreRule::kNoHead) ++head_degree_[rule.head];
     }
     for (GroundAtomId a = 0; a < num_atoms_; ++a) {
-      occurrences_[a].reserve(occ_degree[a]);
-      pos_occurrences_[a].reserve(pos_degree[a]);
-      head_rules_[a].reserve(head_degree[a]);
+      occurrences_[a].reserve(occ_degree_[a]);
+      pos_occurrences_[a].reserve(pos_degree_[a]);
+      head_rules_[a].reserve(head_degree_[a]);
     }
 
     for (uint32_t r = 0; r < rules_.size(); ++r) {
@@ -125,15 +132,26 @@ class PropagationCore {
   // -------------------------------------------------------------------
   // Patched arena front-end (incremental solver).
 
+  /// Empties the core. Every buffer keeps its capacity — the per-atom
+  /// lists too: their outer vectors keep their length and only the lists
+  /// of live atoms are emptied, so lists past num_atoms() are always
+  /// empty and a regrown core reuses them.
   void Reset() {
+    for (size_t a = 0; a < num_atoms_; ++a) {
+      occurrences_[a].clear();
+      pos_occurrences_[a].clear();
+      head_rules_[a].clear();
+    }
     num_atoms_ = 0;
     negative_body_rules_ = 0;
     constraint_rules_ = 0;
     rules_.clear();
+    links_.clear();
+    dirty_.clear();
+    dirty_atoms_.clear();
+    tombstones_ = 0;
+    occurrences_ready_ = false;
     value_.clear();
-    occurrences_.clear();
-    pos_occurrences_.clear();
-    head_rules_.clear();
     active_count_.clear();
     body_unassigned_.clear();
     body_false_.clear();
@@ -152,10 +170,13 @@ class PropagationCore {
   void EnsureAtomCapacity(size_t num_atoms) {
     if (num_atoms <= num_atoms_) return;
     value_.resize(num_atoms, Val::kUnknown);
-    occurrences_.resize(num_atoms);
-    pos_occurrences_.resize(num_atoms);
-    head_rules_.resize(num_atoms);
+    if (occurrences_.size() < num_atoms) {
+      occurrences_.resize(num_atoms);
+      pos_occurrences_.resize(num_atoms);
+      head_rules_.resize(num_atoms);
+    }
     active_count_.resize(num_atoms, 0);
+    dirty_.resize(num_atoms, 0);
     derived_.resize(num_atoms, 0);
     justifier_.resize(num_atoms, kNoRuleIndex);
     support_count_.resize(num_atoms, 0);
@@ -172,14 +193,14 @@ class PropagationCore {
   /// first).
   uint32_t AddRule(CoreRule rule) {
     const uint32_t r = static_cast<uint32_t>(rules_.size());
+    RuleLinks& links = links_.emplace_back();
+    if (occurrences_ready_) HookOccurrences(r, rule, &links);
     for (GroundAtomId a : rule.pos) {
-      occurrences_[a].push_back(Occurrence{r, true});
+      links.pos.push_back(static_cast<uint32_t>(pos_occurrences_[a].size()));
       pos_occurrences_[a].push_back(r);
     }
-    for (GroundAtomId a : rule.neg) {
-      occurrences_[a].push_back(Occurrence{r, false});
-    }
     if (rule.head != CoreRule::kNoHead) {
+      links.head = static_cast<uint32_t>(head_rules_[rule.head].size());
       head_rules_[rule.head].push_back(r);
       ++active_count_[rule.head];
     } else {
@@ -217,10 +238,14 @@ class PropagationCore {
 
   /// Unhooks rule `index` and swap-compacts the last rule into its slot
   /// (the caller mirrors the same move on any parallel per-rule arrays it
-  /// keeps). Duplicate body atoms yield duplicate occurrence entries, so
-  /// unhooking compacts rather than swap-erases a single match.
+  /// keeps). Requires a rule hooked by AddRule. O(rule size): each of the
+  /// rule's list entries is tombstoned through its back-link and the
+  /// moved rule's entries are retargeted in place. Tombstones are
+  /// compacted away, order preserved, before search and verification
+  /// read the lists, and whenever they outnumber twice the live rules;
+  /// the maintained-fixpoint passes skip them.
   void RemoveRule(uint32_t index) {
-    assert(index < rules_.size());
+    assert(index < rules_.size() && links_.size() == rules_.size());
     if (maintained_valid_) {
       const CoreRule& rule = rules_[index];
       // Definite fragment: while maintained, every live rule has a head.
@@ -237,15 +262,25 @@ class PropagationCore {
     }
     {
       const CoreRule& rule = rules_[index];
-      for (GroundAtomId a : rule.pos) {
-        EraseOccurrences(&occurrences_[a], index, true);
-        EraseAll(&pos_occurrences_[a], index);
+      const RuleLinks& links = links_[index];
+      for (size_t i = 0; i < rule.pos.size(); ++i) {
+        const GroundAtomId a = rule.pos[i];
+        pos_occurrences_[a][links.pos[i]] = kNoRuleIndex;
+        MarkDead(a);
       }
-      for (GroundAtomId a : rule.neg) {
-        EraseOccurrences(&occurrences_[a], index, false);
+      if (occurrences_ready_) {
+        size_t k = 0;
+        for (GroundAtomId a : rule.pos) {
+          occurrences_[a][links.occ[k++]].rule = kNoRuleIndex;
+        }
+        for (GroundAtomId a : rule.neg) {
+          occurrences_[a][links.occ[k++]].rule = kNoRuleIndex;
+          MarkDead(a);
+        }
       }
       if (rule.head != CoreRule::kNoHead) {
-        EraseAll(&head_rules_[rule.head], index);
+        head_rules_[rule.head][links.head] = kNoRuleIndex;
+        MarkDead(static_cast<GroundAtomId>(rule.head));
         --active_count_[rule.head];
       } else {
         --constraint_rules_;
@@ -255,29 +290,38 @@ class PropagationCore {
 
     const uint32_t last = static_cast<uint32_t>(rules_.size() - 1);
     if (index != last) {
-      CoreRule moved = std::move(rules_[last]);
-      for (GroundAtomId a : moved.pos) {
-        RetargetOccurrences(&occurrences_[a], last, index, true);
-        RetargetAll(&pos_occurrences_[a], last, index);
+      const CoreRule& moved = rules_[last];
+      const RuleLinks& links = links_[last];
+      for (size_t i = 0; i < moved.pos.size(); ++i) {
+        pos_occurrences_[moved.pos[i]][links.pos[i]] = index;
       }
-      for (GroundAtomId a : moved.neg) {
-        RetargetOccurrences(&occurrences_[a], last, index, false);
+      if (occurrences_ready_) {
+        size_t k = 0;
+        for (GroundAtomId a : moved.pos) {
+          occurrences_[a][links.occ[k++]].rule = index;
+        }
+        for (GroundAtomId a : moved.neg) {
+          occurrences_[a][links.occ[k++]].rule = index;
+        }
       }
       if (moved.head != CoreRule::kNoHead) {
-        RetargetAll(&head_rules_[moved.head], last, index);
+        head_rules_[moved.head][links.head] = index;
         if (maintained_valid_ && justifier_[moved.head] == last) {
           justifier_[moved.head] = index;
         }
       }
-      rules_[index] = std::move(moved);
+      rules_[index] = std::move(rules_[last]);
+      links_[index] = std::move(links_[last]);
       body_unassigned_[index] = body_unassigned_[last];
       body_false_[index] = body_false_[last];
       support_missing_[index] = support_missing_[last];
     }
     rules_.pop_back();
+    links_.pop_back();
     body_unassigned_.pop_back();
     body_false_.pop_back();
     support_missing_.pop_back();
+    if (tombstones_ > 2 * rules_.size() + 64) CompactLists();
   }
 
   // -------------------------------------------------------------------
@@ -307,6 +351,13 @@ class PropagationCore {
   template <typename Client>
   Status Enumerate(const SolverOptions& options, Client& client,
                    std::vector<AnswerSet>* models) {
+    CompactLists();
+    if (!occurrences_ready_) {
+      for (uint32_t r = 0; r < rules_.size(); ++r) {
+        HookOccurrences(r, rules_[r], &links_[r]);
+      }
+      occurrences_ready_ = true;
+    }
     options_ = &options;
     models_ = models;
     decisions_ = 0;
@@ -323,6 +374,7 @@ class PropagationCore {
   /// current assignment (rules with a false body do not support). At rest
   /// this is the least-model closure of the live rules.
   void ComputeSupportClosure() {
+    CompactLists();
     supported_.assign(num_atoms_, 0);
     unsupported_pos_.assign(rules_.size(), 0);
     ready_.clear();
@@ -365,6 +417,7 @@ class PropagationCore {
   /// persistent pos_occurrences_ lists and flat scratch, so it allocates
   /// nothing after warm-up. `model` must be sorted.
   bool VerifyStable(const std::vector<GroundAtomId>& model) {
+    CompactLists();
     in_model_.assign(num_atoms_, 0);
     for (GroundAtomId a : model) in_model_[a] = 1;
     reduct_enabled_.assign(rules_.size(), 0);
@@ -496,6 +549,7 @@ class PropagationCore {
     while (head < work_.size()) {
       const GroundAtomId a = work_[head++];
       for (uint32_t r : pos_occurrences_[a]) {
+        if (r == kNoRuleIndex) continue;  // Tombstone (see RemoveRule).
         if (--support_missing_[r] == 0) {
           const GroundAtomId h = static_cast<GroundAtomId>(rules_[r].head);
           ++support_count_[h];
@@ -536,6 +590,7 @@ class PropagationCore {
       const GroundAtomId a = work_[head++];
       ++touched;
       for (uint32_t r : pos_occurrences_[a]) {
+        if (r == kNoRuleIndex) continue;
         if (support_missing_[r]++ == 0) {
           const GroundAtomId h = static_cast<GroundAtomId>(rules_[r].head);
           --support_count_[h];
@@ -556,7 +611,7 @@ class PropagationCore {
     auto consider = [&](GroundAtomId a) {
       if (derived_[a] || support_count_[a] == 0) return;
       for (uint32_t r : head_rules_[a]) {
-        if (support_missing_[r] == 0) {
+        if (r != kNoRuleIndex && support_missing_[r] == 0) {
           justifier_[a] = r;
           break;
         }
@@ -572,6 +627,7 @@ class PropagationCore {
       const GroundAtomId a = rederive_[rhead++];
       ++touched;
       for (uint32_t r : pos_occurrences_[a]) {
+        if (r == kNoRuleIndex) continue;  // Tombstone (see RemoveRule).
         if (--support_missing_[r] == 0) {
           const GroundAtomId h = static_cast<GroundAtomId>(rules_[r].head);
           ++support_count_[h];
@@ -600,43 +656,98 @@ class PropagationCore {
     bool in_positive_body;
   };
 
-  static void EraseOccurrences(std::vector<Occurrence>* list, uint32_t rule,
-                               bool in_positive_body) {
-    size_t w = 0;
-    for (size_t i = 0; i < list->size(); ++i) {
-      const Occurrence& occ = (*list)[i];
-      if (occ.rule == rule && occ.in_positive_body == in_positive_body) {
-        continue;
+  /// Back-links of a rule hooked by AddRule: the position of each of its
+  /// entries in the per-atom lists. occ follows the rule's literal order
+  /// (positive, then negative), pos its positive literals, head the entry
+  /// in head_rules_.
+  struct RuleLinks {
+    IdList occ;
+    IdList pos;
+    uint32_t head = kNoRuleIndex;
+  };
+
+  /// Appends rule `r`'s entries to the occurrence lists (search only) and
+  /// records their back-links.
+  void HookOccurrences(uint32_t r, const CoreRule& rule, RuleLinks* links) {
+    for (GroundAtomId a : rule.pos) {
+      links->occ.push_back(static_cast<uint32_t>(occurrences_[a].size()));
+      occurrences_[a].push_back(Occurrence{r, true});
+    }
+    for (GroundAtomId a : rule.neg) {
+      links->occ.push_back(static_cast<uint32_t>(occurrences_[a].size()));
+      occurrences_[a].push_back(Occurrence{r, false});
+    }
+  }
+
+  /// Counts a tombstone left in one of `atom`'s lists.
+  void MarkDead(GroundAtomId atom) {
+    ++tombstones_;
+    if (!dirty_[atom]) {
+      dirty_[atom] = 1;
+      dirty_atoms_.push_back(atom);
+    }
+  }
+
+  /// Drops the tombstones RemoveRule left in the lists of dirty atoms,
+  /// keeping the live entries in order (so iteration order is exactly
+  /// what eager erasure would give), and rewrites the back-links of the
+  /// entries that moved.
+  void CompactLists() {
+    tombstones_ = 0;
+    for (GroundAtomId a : dirty_atoms_) {
+      std::vector<Occurrence>& occ = occurrences_[a];
+      size_t w = 0;
+      for (size_t i = 0; i < occ.size(); ++i) {
+        if (occ[i].rule == kNoRuleIndex) continue;
+        if (w != i) {
+          // Find the literal whose back-link points here (duplicate body
+          // atoms have one entry, and one link, each).
+          const CoreRule& rule = rules_[occ[i].rule];
+          RuleLinks& links = links_[occ[i].rule];
+          const size_t first = occ[i].in_positive_body ? 0 : rule.pos.size();
+          const IdList& atoms = occ[i].in_positive_body ? rule.pos : rule.neg;
+          for (size_t j = 0; j < atoms.size(); ++j) {
+            if (atoms[j] == a && links.occ[first + j] == i) {
+              links.occ[first + j] = static_cast<uint32_t>(w);
+              break;
+            }
+          }
+          occ[w] = occ[i];
+        }
+        ++w;
       }
-      (*list)[w++] = occ;
-    }
-    list->resize(w);
-  }
+      occ.resize(w);
 
-  static void EraseAll(std::vector<uint32_t>* list, uint32_t rule) {
-    size_t w = 0;
-    for (size_t i = 0; i < list->size(); ++i) {
-      if ((*list)[i] == rule) continue;
-      (*list)[w++] = (*list)[i];
-    }
-    list->resize(w);
-  }
-
-  static void RetargetOccurrences(std::vector<Occurrence>* list,
-                                  uint32_t from, uint32_t to,
-                                  bool in_positive_body) {
-    for (Occurrence& occ : *list) {
-      if (occ.rule == from && occ.in_positive_body == in_positive_body) {
-        occ.rule = to;
+      std::vector<uint32_t>& pos = pos_occurrences_[a];
+      w = 0;
+      for (size_t i = 0; i < pos.size(); ++i) {
+        if (pos[i] == kNoRuleIndex) continue;
+        if (w != i) {
+          const CoreRule& rule = rules_[pos[i]];
+          RuleLinks& links = links_[pos[i]];
+          for (size_t j = 0; j < rule.pos.size(); ++j) {
+            if (rule.pos[j] == a && links.pos[j] == i) {
+              links.pos[j] = static_cast<uint32_t>(w);
+              break;
+            }
+          }
+          pos[w] = pos[i];
+        }
+        ++w;
       }
-    }
-  }
+      pos.resize(w);
 
-  static void RetargetAll(std::vector<uint32_t>* list, uint32_t from,
-                          uint32_t to) {
-    for (uint32_t& r : *list) {
-      if (r == from) r = to;
+      std::vector<uint32_t>& heads = head_rules_[a];
+      w = 0;
+      for (size_t i = 0; i < heads.size(); ++i) {
+        if (heads[i] == kNoRuleIndex) continue;
+        links_[heads[i]].head = static_cast<uint32_t>(w);
+        heads[w++] = heads[i];
+      }
+      heads.resize(w);
+      dirty_[a] = 0;
     }
+    dirty_atoms_.clear();
   }
 
   // --- assignment and trail ------------------------------------------
@@ -848,12 +959,12 @@ class PropagationCore {
 
   template <typename Client>
   void RecordModel(Client& client) {
-    AnswerSet model;
+    model_.clear();
     for (GroundAtomId a = 0; a < num_atoms_; ++a) {
-      if (value_[a] == Val::kTrue) model.atoms.push_back(a);
+      if (value_[a] == Val::kTrue) model_.push_back(a);
     }
-    if (!client.AcceptModel(model.atoms)) return;
-    models_->push_back(std::move(model));
+    if (!client.AcceptModel(model_)) return;
+    models_->push_back(AnswerSet{model_});  // One exact-size copy.
   }
 
   template <typename Client>
@@ -900,6 +1011,18 @@ class PropagationCore {
   size_t negative_body_rules_ = 0;
   size_t constraint_rules_ = 0;
 
+  /// Patched shape only: back-links per rule, and the atoms whose lists
+  /// hold RemoveRule tombstones until the next CompactLists.
+  std::vector<RuleLinks> links_;
+  std::vector<uint8_t> dirty_;
+  std::vector<GroundAtomId> dirty_atoms_;
+  size_t tombstones_ = 0;
+  /// Whether occurrences_ is populated. Only search reads it, so the
+  /// patched shape fills it on the first Enumerate and maintains it from
+  /// then on; a definite program whose model is maintained never pays
+  /// for it.
+  bool occurrences_ready_ = false;
+
   std::vector<Val> value_;
   std::vector<std::vector<Occurrence>> occurrences_;
   std::vector<std::vector<uint32_t>> pos_occurrences_;
@@ -919,6 +1042,12 @@ class PropagationCore {
   std::vector<uint8_t> supported_;
   std::vector<uint32_t> unsupported_pos_;
   std::vector<GroundAtomId> ready_;
+
+  // Scratch for BuildFromRules and RecordModel.
+  std::vector<uint32_t> occ_degree_;
+  std::vector<uint32_t> pos_degree_;
+  std::vector<uint32_t> head_degree_;
+  std::vector<GroundAtomId> model_;
 
   // Scratch for VerifyStable.
   std::vector<uint8_t> in_model_;

@@ -14,16 +14,16 @@ namespace {
 
 enum class Val : int8_t { kUnknown = 0, kTrue = 1, kFalse = 2 };
 
-/// Normalizes `program` for the shared propagation core: disjunctive
-/// heads are shifted (a|b :- B  =>  a :- B, not b.  b :- B, not a.),
-/// which is complete for head-cycle-free programs; every candidate of a
-/// shifted program is later checked for minimality against the original
-/// program. Sets *has_disjunction when any rule was shifted.
-std::vector<PropagationCore::CoreRule> NormalizeRules(
-    const GroundProgram& program, bool* has_disjunction) {
-  std::vector<PropagationCore::CoreRule> rules;
-  rules.reserve(program.rules().size());
-  *has_disjunction = false;
+/// Normalizes `program` for the shared propagation core, appending to
+/// `*rules`: disjunctive heads are shifted
+/// (a|b :- B  =>  a :- B, not b.  b :- B, not a.), which is complete for
+/// head-cycle-free programs; every candidate of a shifted program is
+/// later checked for minimality against the original program. Returns
+/// true when any rule was shifted.
+bool NormalizeRules(const GroundProgram& program,
+                    std::vector<PropagationCore::CoreRule>* rules) {
+  rules->reserve(program.rules().size());
+  bool has_disjunction = false;
   for (const GroundRule& rule : program.rules()) {
     if (rule.head.size() <= 1) {
       PropagationCore::CoreRule nr;
@@ -32,9 +32,9 @@ std::vector<PropagationCore::CoreRule> NormalizeRules(
                     : static_cast<int32_t>(rule.head[0]);
       nr.pos = rule.positive_body;
       nr.neg = rule.negative_body;
-      rules.push_back(std::move(nr));
+      rules->push_back(std::move(nr));
     } else {
-      *has_disjunction = true;
+      has_disjunction = true;
       for (size_t i = 0; i < rule.head.size(); ++i) {
         PropagationCore::CoreRule nr;
         nr.head = static_cast<int32_t>(rule.head[i]);
@@ -43,23 +43,28 @@ std::vector<PropagationCore::CoreRule> NormalizeRules(
         for (size_t j = 0; j < rule.head.size(); ++j) {
           if (j != i) nr.neg.push_back(rule.head[j]);
         }
-        rules.push_back(std::move(nr));
+        rules->push_back(std::move(nr));
       }
     }
   }
-  return rules;
+  return has_disjunction;
 }
 
 /// The cold solve's enumeration policy: no sign guidance, and candidate
-/// models verify against the *original* program (shifted disjunctive
-/// candidates must pass the exact minimality check; for normal programs
-/// the check is optional verification per SolverOptions::verify_models).
+/// models verify against the *original* program. Shifted disjunctive
+/// candidates must pass the exact minimality check (IsStableModel); a
+/// normal program's core holds the original rules verbatim, so its
+/// optional verification (SolverOptions::verify_models) runs the core's
+/// equivalent VerifyStable over its persistent scratch.
 struct ColdSolveClient {
   const GroundProgram& program;
-  bool check_models;
+  PropagationCore& core;
+  bool has_disjunction;
+  bool verify_models;
 
   bool AcceptModel(const std::vector<GroundAtomId>& atoms) const {
-    return !check_models || IsStableModel(program, atoms);
+    if (has_disjunction) return IsStableModel(program, atoms);
+    return !verify_models || core.VerifyStable(atoms);
   }
   PropagationCore::Val FirstSign(GroundAtomId) const {
     return PropagationCore::Val::kTrue;
@@ -248,17 +253,29 @@ bool IsStableModel(const GroundProgram& program,
   return !search.Exists();
 }
 
+SolveWorkspace::SolveWorkspace() : core_(std::make_unique<PropagationCore>()) {}
+SolveWorkspace::~SolveWorkspace() = default;
+SolveWorkspace::SolveWorkspace(SolveWorkspace&&) noexcept = default;
+SolveWorkspace& SolveWorkspace::operator=(SolveWorkspace&&) noexcept =
+    default;
+
 StatusOr<std::vector<AnswerSet>> Solver::Solve(
     const GroundProgram& program) const {
+  SolveWorkspace workspace;
+  return Solve(program, &workspace);
+}
+
+StatusOr<std::vector<AnswerSet>> Solver::Solve(
+    const GroundProgram& program, SolveWorkspace* workspace) const {
+  PropagationCore& core = *workspace->core_;
   bool has_disjunction = false;
-  std::vector<PropagationCore::CoreRule> rules =
-      NormalizeRules(program, &has_disjunction);
+  core.BuildFromRules(program.num_atoms(),
+                      [&](std::vector<PropagationCore::CoreRule>* rules) {
+                        has_disjunction = NormalizeRules(program, rules);
+                      });
 
-  PropagationCore core;
-  core.BuildFromRules(std::move(rules), program.num_atoms());
-
-  ColdSolveClient client{program,
-                         has_disjunction || options_.verify_models};
+  ColdSolveClient client{program, core, has_disjunction,
+                         options_.verify_models};
   std::vector<AnswerSet> models;
   STREAMASP_RETURN_IF_ERROR(core.Enumerate(options_, client, &models));
   return models;

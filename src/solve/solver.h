@@ -2,6 +2,7 @@
 #define STREAMASP_SOLVE_SOLVER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "ground/ground_program.h"
@@ -62,6 +63,25 @@ struct SolverOptions {
   bool maintain_fixpoint = true;
 };
 
+class PropagationCore;
+
+/// Per-caller state of the cold Solver: the propagation core (rule
+/// array, per-atom occurrence and head lists, trail, scratch). Cleared,
+/// not freed, at the start of each Solve call, so a workspace reused
+/// across windows stops allocating once it has seen its largest program.
+/// One caller at a time.
+class SolveWorkspace {
+ public:
+  SolveWorkspace();
+  ~SolveWorkspace();
+  SolveWorkspace(SolveWorkspace&&) noexcept;
+  SolveWorkspace& operator=(SolveWorkspace&&) noexcept;
+
+ private:
+  friend class Solver;
+  std::unique_ptr<PropagationCore> core_;
+};
+
 /// Stable-model solver for ground programs.
 ///
 /// Normal programs (at most one head atom per rule) are solved exactly
@@ -84,6 +104,11 @@ class Solver {
   /// branch decisions taken); an inconsistent program yields an empty
   /// vector. Errors indicate resource limits, not inconsistency.
   StatusOr<std::vector<AnswerSet>> Solve(const GroundProgram& program) const;
+
+  /// Same, on `workspace`'s reused buffers; the overload above is this
+  /// call on a throwaway workspace.
+  StatusOr<std::vector<AnswerSet>> Solve(const GroundProgram& program,
+                                         SolveWorkspace* workspace) const;
 
  private:
   SolverOptions options_;

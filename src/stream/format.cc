@@ -27,35 +27,47 @@ Status DataFormatProcessor::DeclareInputPredicates(
   return OkStatus();
 }
 
-StatusOr<Atom> DataFormatProcessor::ToFact(const Triple& triple) const {
+Status DataFormatProcessor::FillFact(const Triple& triple, Atom* fact) const {
   auto it = arity_of_.find(triple.predicate);
   if (it == arity_of_.end()) {
     return InvalidArgumentError("undeclared stream predicate id " +
                                 std::to_string(triple.predicate));
   }
-  const uint32_t arity = it->second;
-  if (arity == 1) {
+  if (it->second == 1) {
     if (triple.object.has_value()) {
       return InvalidArgumentError("unary predicate received an object");
     }
-    return Atom(triple.predicate, {triple.subject.ToTerm()});
+    fact->Assign(triple.predicate, {triple.subject.ToTerm()});
+    return OkStatus();
   }
   if (!triple.object.has_value()) {
     return InvalidArgumentError("binary predicate missing an object");
   }
-  return Atom(triple.predicate,
-              {triple.subject.ToTerm(), triple.object.ToTerm()});
+  fact->Assign(triple.predicate,
+               {triple.subject.ToTerm(), triple.object.ToTerm()});
+  return OkStatus();
+}
+
+StatusOr<Atom> DataFormatProcessor::ToFact(const Triple& triple) const {
+  Atom fact;
+  STREAMASP_RETURN_IF_ERROR(FillFact(triple, &fact));
+  return fact;
 }
 
 StatusOr<std::vector<Atom>> DataFormatProcessor::ToFacts(
     const std::vector<Triple>& items) const {
   std::vector<Atom> facts;
-  facts.reserve(items.size());
-  for (const Triple& t : items) {
-    STREAMASP_ASSIGN_OR_RETURN(Atom fact, ToFact(t));
-    facts.push_back(std::move(fact));
-  }
+  STREAMASP_RETURN_IF_ERROR(ToFacts(items, &facts));
   return facts;
+}
+
+Status DataFormatProcessor::ToFacts(const std::vector<Triple>& items,
+                                    std::vector<Atom>* facts) const {
+  facts->resize(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    STREAMASP_RETURN_IF_ERROR(FillFact(items[i], &(*facts)[i]));
+  }
+  return OkStatus();
 }
 
 StatusOr<Triple> DataFormatProcessor::ToTriple(const Atom& atom) const {

@@ -40,12 +40,21 @@ class DataFormatProcessor {
   /// Translates a whole window, preserving order.
   StatusOr<std::vector<Atom>> ToFacts(const std::vector<Triple>& items) const;
 
+  /// Same, into `*facts`, whose atoms are refilled in place (see
+  /// Atom::Assign): a buffer reused across windows stops allocating once
+  /// it has held the largest window. On error *facts is unspecified.
+  Status ToFacts(const std::vector<Triple>& items,
+                 std::vector<Atom>* facts) const;
+
   /// Reverse direction: renders an arity-1 or arity-2 ground atom as a
   /// triple (used when streaming answers onward). Fails for other arities
   /// or non-ground atoms.
   StatusOr<Triple> ToTriple(const Atom& atom) const;
 
  private:
+  /// Translates `triple` into `*fact` (see Atom::Assign).
+  Status FillFact(const Triple& triple, Atom* fact) const;
+
   std::unordered_map<SymbolId, uint32_t> arity_of_;
 };
 

@@ -7,8 +7,18 @@
 
 namespace streamasp {
 
+struct Reasoner::Workspace {
+  explicit Workspace(GroundingPlanPtr plan) : ground(std::move(plan)) {}
+
+  std::vector<Atom> facts;
+  GroundingWorkspace ground;
+  SolveWorkspace solve;
+};
+
 Reasoner::Reasoner(const Program* program, ReasonerOptions options)
-    : program_(program), options_(options) {
+    : program_(program),
+      options_(options),
+      grounding_plan_(PrepareGrounding(program)) {
   const Status status =
       format_.DeclareInputPredicates(program_->input_predicates());
   if (!status.ok()) {
@@ -18,16 +28,39 @@ Reasoner::Reasoner(const Program* program, ReasonerOptions options)
   }
 }
 
+Reasoner::~Reasoner() = default;
+
+std::unique_ptr<Reasoner::Workspace> Reasoner::AcquireWorkspace() const {
+  {
+    std::lock_guard<std::mutex> lock(workspaces_mutex_);
+    if (!idle_workspaces_.empty()) {
+      std::unique_ptr<Workspace> workspace =
+          std::move(idle_workspaces_.back());
+      idle_workspaces_.pop_back();
+      return workspace;
+    }
+  }
+  return std::make_unique<Workspace>(grounding_plan_);
+}
+
+void Reasoner::ReleaseWorkspace(std::unique_ptr<Workspace> workspace) const {
+  std::lock_guard<std::mutex> lock(workspaces_mutex_);
+  idle_workspaces_.push_back(std::move(workspace));
+}
+
 StatusOr<ReasonerResult> Reasoner::Process(const TripleWindow& window) const {
+  std::unique_ptr<Workspace> workspace = AcquireWorkspace();
   WallTimer total;
   WallTimer phase;
-  STREAMASP_ASSIGN_OR_RETURN(std::vector<Atom> facts,
-                             format_.ToFacts(window.items));
+  const Status converted = format_.ToFacts(window.items, &workspace->facts);
   const double convert_ms = phase.ElapsedMillis();
-
-  STREAMASP_ASSIGN_OR_RETURN(ReasonerResult result, ProcessFacts(facts));
-  result.convert_ms = convert_ms;
-  result.latency_ms = total.ElapsedMillis();
+  StatusOr<ReasonerResult> result =
+      converted.ok() ? ProcessColdFacts(workspace->facts, workspace.get())
+                     : StatusOr<ReasonerResult>(converted);
+  ReleaseWorkspace(std::move(workspace));
+  if (!result.ok()) return result.status();
+  result->convert_ms = convert_ms;
+  result->latency_ms = total.ElapsedMillis();
   return result;
 }
 
@@ -69,17 +102,25 @@ StatusOr<ReasonerResult> Reasoner::Process(
 
 StatusOr<ReasonerResult> Reasoner::ProcessFacts(
     const std::vector<Atom>& facts) const {
+  std::unique_ptr<Workspace> workspace = AcquireWorkspace();
+  StatusOr<ReasonerResult> result = ProcessColdFacts(facts, workspace.get());
+  ReleaseWorkspace(std::move(workspace));
+  return result;
+}
+
+StatusOr<ReasonerResult> Reasoner::ProcessColdFacts(
+    const std::vector<Atom>& facts, Workspace* workspace) const {
   ReasonerResult result;
   WallTimer total;
 
   WallTimer phase;
   const Grounder grounder(options_.grounding);
-  STREAMASP_ASSIGN_OR_RETURN(GroundProgram ground,
-                             grounder.Ground(*program_, facts,
-                                             &result.grounding));
+  STREAMASP_RETURN_IF_ERROR(
+      grounder.Ground(facts, &workspace->ground, &result.grounding));
   result.ground_ms = phase.ElapsedMillis();
 
-  STREAMASP_RETURN_IF_ERROR(SolveGround(ground, &result));
+  STREAMASP_RETURN_IF_ERROR(
+      SolveGround(workspace->ground.ground(), &workspace->solve, &result));
   result.latency_ms = total.ElapsedMillis();
   return result;
 }
@@ -108,18 +149,20 @@ StatusOr<ReasonerResult> Reasoner::ProcessFactsIncremental(
     STREAMASP_RETURN_IF_ERROR(
         SolveIncremental(sequence, facts, grounder, solver, &result));
   } else {
-    STREAMASP_RETURN_IF_ERROR(SolveGround(*ground, &result));
+    SolveWorkspace workspace;
+    STREAMASP_RETURN_IF_ERROR(SolveGround(*ground, &workspace, &result));
   }
   result.latency_ms = total.ElapsedMillis();
   return result;
 }
 
 Status Reasoner::SolveGround(const GroundProgram& ground,
+                             SolveWorkspace* workspace,
                              ReasonerResult* result) const {
   WallTimer phase;
   const Solver solver(options_.solving);
   STREAMASP_ASSIGN_OR_RETURN(std::vector<AnswerSet> models,
-                             solver.Solve(ground));
+                             solver.Solve(ground, workspace));
   result->solve_ms = phase.ElapsedMillis();
   ExtractAnswers(ground.atoms(), models, result);
   return OkStatus();
@@ -175,23 +218,24 @@ void Reasoner::ExtractAnswers(const AtomTable& atoms,
   result->answers.reserve(models.size());
   for (const AnswerSet& model : models) {
     GroundAnswer answer;
-    answer.reserve(model.atoms.size());
+    // A projected answer is usually a small slice of the model.
+    if (!project) answer.reserve(model.atoms.size());
     for (GroundAtomId id : model.atoms) {
-      const Atom& atom = atoms.GetAtom(id);
       if (project) {
         // Filter during extraction (same membership test ProjectAnswer
-        // runs) instead of materializing the full answer and copying the
-        // projected subsequence out of it.
+        // runs) on the packed signature, so only shown atoms are ever
+        // rebuilt.
+        const PredicateSignature signature = atoms.Signature(id);
         bool keep = false;
         for (const PredicateSignature& sig : shown) {
-          if (atom.signature() == sig) {
+          if (signature == sig) {
             keep = true;
             break;
           }
         }
         if (!keep) continue;
       }
-      answer.push_back(atom);
+      answer.push_back(atoms.GetAtom(id));
     }
     NormalizeAnswer(&answer);
     result->answers.push_back(std::move(answer));

@@ -2,6 +2,8 @@
 #define STREAMASP_STREAMRULE_REASONER_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "asp/program.h"
@@ -64,14 +66,24 @@ struct ReasonerResult {
 /// Figure 1): data-format conversion + grounding + stable-model solving
 /// over one whole input window.
 ///
-/// Thread-compatible: Process() is const and keeps no mutable state, so
-/// the parallel reasoner PR can run one Reasoner per worker thread over a
-/// shared Program/SymbolTable.
+/// The cold path (Process / ProcessFacts) prepares the program for
+/// grounding once, at construction, and runs every window on a reused
+/// workspace: fact buffer, grounding workspace and solve workspace,
+/// cleared between windows rather than freed, so after warm-up a window
+/// allocates little beyond its answers. Process() is const and safe to
+/// call concurrently: each call checks a workspace out of a small
+/// mutex-guarded free list (creating one when all are busy) and returns
+/// it when done, so the reasoner keeps as many workspaces as it has seen
+/// concurrent callers, each bounded by the largest window it has served.
 class Reasoner {
  public:
   /// `program` must outlive the reasoner. The data format processor is
   /// configured from the program's declared input predicates.
   Reasoner(const Program* program, ReasonerOptions options = {});
+  ~Reasoner();
+
+  Reasoner(const Reasoner&) = delete;
+  Reasoner& operator=(const Reasoner&) = delete;
 
   /// Full pipeline on a triple window: convert → ground → solve.
   StatusOr<ReasonerResult> Process(const TripleWindow& window) const;
@@ -106,8 +118,20 @@ class Reasoner {
   const Program& program() const { return *program_; }
 
  private:
+  /// Cold-path scratch of one caller (see the class comment).
+  struct Workspace;
+
+  /// Checks a workspace out of the free list, or makes a new one.
+  std::unique_ptr<Workspace> AcquireWorkspace() const;
+  void ReleaseWorkspace(std::unique_ptr<Workspace> workspace) const;
+
+  /// The cold path on a checked-out workspace: ground + solve `facts`.
+  StatusOr<ReasonerResult> ProcessColdFacts(const std::vector<Atom>& facts,
+                                            Workspace* workspace) const;
+
   /// Shared solve + answer-extraction tail of the cold Process variants.
-  Status SolveGround(const GroundProgram& ground, ReasonerResult* result) const;
+  Status SolveGround(const GroundProgram& ground, SolveWorkspace* workspace,
+                     ReasonerResult* result) const;
 
   /// Warm tail: patches `solver` with the grounder's last delta and
   /// enumerates. A detectably out-of-sync mirror is repaired in place by
@@ -128,6 +152,10 @@ class Reasoner {
   const Program* program_;
   ReasonerOptions options_;
   DataFormatProcessor format_;
+  GroundingPlanPtr grounding_plan_;
+
+  mutable std::mutex workspaces_mutex_;
+  mutable std::vector<std::unique_ptr<Workspace>> idle_workspaces_;
 };
 
 }  // namespace streamasp
