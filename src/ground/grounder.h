@@ -70,10 +70,10 @@ struct GroundingStats {
 
 class GroundingPlan;
 
-/// A program prepared for repeated cold grounding — validation, the
-/// predicate registry, the SCC schedule and the compiled rules — built
-/// once by PrepareGrounding. Immutable, so any number of workspaces (and
-/// threads) share one.
+/// A program prepared for repeated grounding — validation, the predicate
+/// registry, the SCC schedule and the compiled rules — built once by
+/// PrepareGrounding. Immutable, so any number of workspaces (and
+/// threads) share one; each IncrementalGrounder builds its own.
 using GroundingPlanPtr = std::shared_ptr<const GroundingPlan>;
 
 /// Prepares `program`, which must outlive the plan. A program that fails

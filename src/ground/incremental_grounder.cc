@@ -8,45 +8,47 @@
 #include <utility>
 #include <vector>
 
-#include "asp/literal.h"
-#include "graph/components.h"
-#include "graph/graph.h"
 #include "ground/instantiate.h"
 
 namespace streamasp {
 
 namespace {
 
-using ground_internal::Binding;
 using ground_internal::CompiledRule;
-using ground_internal::MatchPackedTerm;
-using ground_internal::PackInstance;
 using ground_internal::PredicateExtension;
-using ground_internal::ResolveComparisons;
 
 constexpr uint32_t kNoPosition = static_cast<uint32_t>(-1);
-constexpr uint32_t kNoSlot = static_cast<uint32_t>(-1);
+constexpr int kUntracked = -2;  ///< atom_pred_ of an atom not yet tracked.
 
 /// Net per-atom change between two fact multisets.
 using NetDelta = std::unordered_map<Atom, int64_t, AtomHash>;
 
 }  // namespace
 
-/// The retained instantiation state. The evaluation core mirrors
-/// grounder.cc's InstantiationEngine (same shared primitives, same
-/// old/delta/full semi-naive range discipline) but differs in three ways:
-///  * extensions, the atom table and the emitted rule store persist across
-///    GroundWindow calls; each window replays only its fact delta;
+/// The retained instantiation state, a client of the shared grounding core
+/// (the cold Grounder's plan and semi-naive matcher). Extensions, the atom
+/// table and the emitted rule store persist across GroundWindow calls, and
+/// each window replays only its fact delta. Its policies on the core:
+///  * literals outside the component under evaluation see the window's
+///    admissions [window_start, end) as their delta in round 1 only;
 ///  * negative literals are never eagerly resolved against "final"
 ///    extensions (extensions are never final across windows) — the
 ///    per-window simplification pass recovers the lost pruning;
 ///  * emitted rules carry support/dependency bookkeeping so expired facts
-///    retract their dependent instances (support counting).
-class IncrementalGrounder::Engine {
+///    retract their dependent instances (support counting), and retracted
+///    atoms leave tombstones in their extensions.
+class IncrementalGrounder::Engine
+    : public ground_internal::InstantiationCore<IncrementalGrounder::Engine> {
  public:
   Engine(const Program* program, GroundingOptions options,
          IncrementalGroundingOptions incremental)
-      : program_(program), options_(options), inc_(incremental) {}
+      : InstantiationCore(PrepareGrounding(program)),
+        options_(options),
+        inc_(incremental) {
+    for (const CompiledRule& rule : plan_->compiled) {
+      if (rule.positive.empty()) groundless_.push_back(&rule);
+    }
+  }
 
   Status GroundWindow(uint64_t sequence, const std::vector<Atom>& facts,
                       const FactDelta* delta, GroundingStats* stats);
@@ -55,18 +57,36 @@ class IncrementalGrounder::Engine {
   bool cache_valid() const { return cache_valid_; }
   bool assembles_output() const { return inc_.assemble_output; }
   uint64_t cached_sequence() const { return cached_sequence_; }
-  const GroundProgram& output() const { return out_; }
+  const GroundProgram& output() const { return ground_; }
   const std::vector<GroundRule>& store() const { return store_; }
-  const AtomTable& atom_table() const { return out_.atoms(); }
+  const AtomTable& atom_table() const { return ground_.atoms(); }
   const GroundingDelta& last_delta() const { return delta_; }
+  const GroundingStats& call_stats() const { return call_stats_; }
 
  private:
-  // --- static program analysis (built once) ---
-  Status Prepare();
-  int PredIndex(const PredicateSignature& sig);
+  friend class InstantiationCore<Engine>;
+
+  // --- policies on the shared core ---
+  Range ExternalRange(const PredicateExtension& ext, size_t position) const {
+    // An earlier component's (or an input-only) predicate: its delta is
+    // this window's admissions, consumed in round 1 only.
+    if (!round1_) return {0, ext.atoms.size()};
+    const size_t delta_position = static_cast<size_t>(delta_position_);
+    if (position < delta_position) return {0, ext.window_start};
+    if (position == delta_position) return {ext.window_start, ext.atoms.size()};
+    return {0, ext.atoms.size()};
+  }
+  GroundAtomId NegativeInstance(const Atom& pattern, int pred) {
+    return InternInstance(pattern, pred);
+  }
+  GroundAtomId HeadInstance(const Atom& pattern, int pred) {
+    const GroundAtomId id = InternInstance(pattern, pred);
+    if (!derivable_[id]) Derive(id);
+    return id;
+  }
+  Status EmitRule(GroundRule rule);
 
   // --- dynamic cache primitives ---
-  AtomTable& atoms() { return out_.mutable_atoms(); }
   GroundAtomId InternAtom(const Atom& atom);
   /// Interns the instance of `pattern` packed in words_ (see
   /// PackInstance); `pred` is the pattern's predicate index.
@@ -81,7 +101,6 @@ class IncrementalGrounder::Engine {
   /// Swap-compacts the marked dead slots out of the dense store.
   void CompactStore();
   void RemoveBodyRef(GroundAtomId atom, uint32_t slot);
-  Status EmitIncrementalRule(GroundRule rule);
   /// Builds the per-window output: scratch copy of the store + window
   /// fact rules, optionally simplified; fills the output stat counters.
   void AssembleOutput();
@@ -94,61 +113,27 @@ class IncrementalGrounder::Engine {
   Status CheckWindowCounts(const std::vector<Atom>& facts) const;
   Status Rebuild(const std::vector<Atom>& facts);
   Status EvaluateWindow();
-  Status EvaluateComponentIncremental(int component,
-                                      const std::vector<CompiledRule*>& rules);
-  Status EvaluateRuleAt(CompiledRule* rule, int component,
-                        size_t delta_position, bool round1);
-  Status MatchFrom(CompiledRule* rule, size_t literal_index, int component,
-                   size_t delta_position, bool round1, Binding* binding,
-                   std::vector<GroundAtomId>* matched,
-                   std::vector<bool>* comparison_done);
-  Status EmitInstance(CompiledRule* rule, const Binding& binding,
-                      const std::vector<GroundAtomId>& matched);
-  std::pair<size_t, size_t> LiteralRange(const CompiledRule& rule,
-                                         size_t position, int component,
-                                         size_t delta_position,
-                                         bool round1) const;
+  Status EvaluateComponentIncremental(
+      int component, const std::vector<const CompiledRule*>& rules);
 
-  const Program* program_;
   GroundingOptions options_;
   IncrementalGroundingOptions inc_;
-  bool prepared_ = false;
-
-  std::unordered_map<PredicateSignature, int, PredicateSignatureHash>
-      pred_index_;
-  std::vector<PredicateSignature> pred_signatures_;
-  /// Component of each predicate; -1 for predicates first seen as input
-  /// facts after Prepare (no rule reads them, so they never take part in
-  /// range computations).
-  std::vector<int> pred_component_;
-  int num_components_ = 0;
-  std::vector<CompiledRule> compiled_;
-  std::vector<std::vector<CompiledRule*>> component_rules_;
-  std::vector<CompiledRule*> constraints_;
   /// Rules with no positive body atoms: their instances are independent of
   /// the input facts, so they fire once per rebuild and persist.
-  std::vector<CompiledRule*> groundless_;
+  std::vector<const CompiledRule*> groundless_;
+  /// Round 1 of a component's evaluation (see ExternalRange).
+  bool round1_ = false;
 
-  // --- dynamic cache (reset by Rebuild) ---
+  // --- dynamic cache (reset by Rebuild); ground_ owns the atom table and
+  // the per-window output ---
   bool cache_valid_ = false;
   uint64_t cached_sequence_ = 0;
-  GroundProgram out_;  ///< Owns the atom table + the per-window output.
-  ground_internal::SimplifyScratch simplify_scratch_;
-  /// Packed instance of the head or negative being emitted, sized to the
-  /// widest such pattern by Prepare.
-  std::vector<PackedTerm> words_;
-  // Match scratch of the rule being evaluated (one at a time), kept so
-  // evaluation does not allocate per rule.
-  Binding binding_;
-  std::vector<GroundAtomId> matched_;
-  std::vector<bool> comparison_done_;
-  std::vector<size_t> upfront_done_;
   std::vector<bool> derivable_;
-  std::vector<int> atom_pred_;         ///< Atom id -> predicate index.
+  /// Atom id -> predicate index; -1 for a predicate no rule mentions.
+  std::vector<int> atom_pred_;
   std::vector<uint32_t> support_;      ///< Deriving rules + window count.
   std::vector<uint32_t> ext_pos_;      ///< Atom id -> extension position.
   std::vector<std::vector<uint32_t>> body_rules_;  ///< Atom -> rule slots.
-  std::vector<PredicateExtension> extensions_;
   /// The cached instantiation, kept dense by swap-compaction after each
   /// retraction batch; the per-window output program is a scratch copy of
   /// it (plus the window's fact rules) so per-window simplification never
@@ -165,127 +150,11 @@ class IncrementalGrounder::Engine {
   GroundingDelta delta_;
 
   GroundingStats call_stats_;
-
- public:
-  const GroundingStats& call_stats() const { return call_stats_; }
 };
-
-int IncrementalGrounder::Engine::PredIndex(const PredicateSignature& sig) {
-  auto it = pred_index_.find(sig);
-  if (it != pred_index_.end()) return it->second;
-  const int index = static_cast<int>(pred_signatures_.size());
-  pred_index_.emplace(sig, index);
-  pred_signatures_.push_back(sig);
-  // Predicates registered after Prepare have no rules: component -1.
-  if (prepared_) pred_component_.push_back(-1);
-  extensions_.resize(pred_signatures_.size());
-  return index;
-}
-
-Status IncrementalGrounder::Engine::Prepare() {
-  STREAMASP_RETURN_IF_ERROR(program_->Validate());
-
-  for (const Rule& rule : program_->rules()) {
-    for (const Atom& a : rule.head()) PredIndex(a.signature());
-    for (const Literal& l : rule.body()) {
-      if (l.is_atom()) PredIndex(l.atom().signature());
-    }
-  }
-
-  Digraph dependencies(static_cast<NodeId>(pred_signatures_.size()));
-  for (const Rule& rule : program_->rules()) {
-    for (const Atom& head : rule.head()) {
-      const int head_pred = PredIndex(head.signature());
-      for (const Literal& l : rule.body()) {
-        if (!l.is_atom()) continue;
-        dependencies.AddEdge(
-            static_cast<NodeId>(PredIndex(l.atom().signature())),
-            static_cast<NodeId>(head_pred));
-      }
-    }
-    for (size_t i = 0; i + 1 < rule.head().size(); ++i) {
-      for (size_t j = i + 1; j < rule.head().size(); ++j) {
-        const NodeId a =
-            static_cast<NodeId>(PredIndex(rule.head()[i].signature()));
-        const NodeId b =
-            static_cast<NodeId>(PredIndex(rule.head()[j].signature()));
-        dependencies.AddEdge(a, b);
-        dependencies.AddEdge(b, a);
-      }
-    }
-  }
-  const ComponentAssignment components =
-      StronglyConnectedComponents(dependencies);
-  num_components_ = components.num_components;
-  pred_component_ = components.component_of;
-  extensions_.resize(pred_signatures_.size());
-
-  component_rules_.assign(num_components_, {});
-  compiled_.reserve(program_->rules().size());
-  for (const Rule& rule : program_->rules()) {
-    if (rule.body().empty()) continue;  // Facts are seeded separately.
-    CompiledRule cr;
-    for (const Atom& head : rule.head()) {
-      cr.heads.push_back(head);
-      cr.head_preds.push_back(PredIndex(head.signature()));
-    }
-    for (const Literal& l : rule.body()) {
-      switch (l.kind()) {
-        case Literal::Kind::kPositiveAtom:
-          cr.positive.push_back(l.atom());
-          cr.positive_preds.push_back(PredIndex(l.atom().signature()));
-          break;
-        case Literal::Kind::kNegativeAtom:
-          cr.negatives.push_back(l.atom());
-          cr.negative_preds.push_back(PredIndex(l.atom().signature()));
-          break;
-        case Literal::Kind::kComparison: {
-          cr.comparisons.push_back(l);
-          std::vector<SymbolId> vars;
-          l.CollectVariables(&vars);
-          std::sort(vars.begin(), vars.end());
-          vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-          cr.comparison_vars.push_back(std::move(vars));
-          break;
-        }
-      }
-    }
-    for (const Atom& a : cr.heads) {
-      words_.resize(std::max<size_t>(words_.size(), a.arity()));
-    }
-    for (const Atom& a : cr.negatives) {
-      words_.resize(std::max<size_t>(words_.size(), a.arity()));
-    }
-    cr.component = cr.heads.empty()
-                       ? num_components_
-                       : pred_component_[cr.head_preds.front()];
-    if (!cr.heads.empty()) {
-      for (size_t i = 0; i < cr.positive.size(); ++i) {
-        if (pred_component_[cr.positive_preds[i]] == cr.component) {
-          cr.recursive = true;
-          cr.same_component_positions.push_back(i);
-        }
-      }
-    }
-    compiled_.push_back(std::move(cr));
-  }
-  // Pointers into compiled_ are stable from here on.
-  for (CompiledRule& cr : compiled_) {
-    if (cr.positive.empty()) {
-      groundless_.push_back(&cr);
-    } else if (cr.heads.empty()) {
-      constraints_.push_back(&cr);
-    } else {
-      component_rules_[cr.component].push_back(&cr);
-    }
-  }
-  prepared_ = true;
-  return OkStatus();
-}
 
 void IncrementalGrounder::Engine::TrackAtom(GroundAtomId id) {
   if (id >= atom_pred_.size()) {
-    atom_pred_.resize(id + 1, -2);
+    atom_pred_.resize(id + 1, kUntracked);
     derivable_.resize(id + 1, false);
     support_.resize(id + 1, 0);
     ext_pos_.resize(id + 1, kNoPosition);
@@ -296,7 +165,9 @@ void IncrementalGrounder::Engine::TrackAtom(GroundAtomId id) {
 GroundAtomId IncrementalGrounder::Engine::InternAtom(const Atom& atom) {
   const GroundAtomId id = atoms().Intern(atom);
   TrackAtom(id);
-  if (atom_pred_[id] == -2) atom_pred_[id] = PredIndex(atom.signature());
+  if (atom_pred_[id] == kUntracked) {
+    atom_pred_[id] = plan_->PredIndexOf(atom.signature());
+  }
   return id;
 }
 
@@ -305,13 +176,14 @@ GroundAtomId IncrementalGrounder::Engine::InternInstance(const Atom& pattern,
   const GroundAtomId id = atoms().InternPacked(
       pattern.predicate(), words_.data(), pattern.arity());
   TrackAtom(id);
-  if (atom_pred_[id] == -2) atom_pred_[id] = pred;
+  if (atom_pred_[id] == kUntracked) atom_pred_[id] = pred;
   return id;
 }
 
 void IncrementalGrounder::Engine::Derive(GroundAtomId id) {
   assert(!derivable_[id]);
   derivable_[id] = true;
+  if (atom_pred_[id] < 0) return;  // No rule reads it: no extension.
   PredicateExtension& ext = extensions_[atom_pred_[id]];
   ext_pos_[id] = static_cast<uint32_t>(ext.atoms.size());
   ext.atoms.push_back(id);
@@ -385,9 +257,11 @@ void IncrementalGrounder::Engine::RetractAtom(
     GroundAtomId id, std::vector<GroundAtomId>* worklist) {
   assert(derivable_[id] && support_[id] == 0);
   derivable_[id] = false;
-  PredicateExtension& ext = extensions_[atom_pred_[id]];
-  ext.atoms[ext_pos_[id]] = kInvalidGroundAtom;
-  ext_pos_[id] = kNoPosition;
+  if (atom_pred_[id] >= 0) {
+    extensions_[atom_pred_[id]].atoms[ext_pos_[id]] = kInvalidGroundAtom;
+    ext_pos_[id] = kNoPosition;
+  }
+  // Counted for every predicate: the atom's table entry leaks either way.
   ++tombstoned_atoms_;
   // Dependent instances lose a positive-body atom that no current fact
   // can derive: remove them (their heads may cascade).
@@ -398,12 +272,9 @@ void IncrementalGrounder::Engine::RetractAtom(
   }
 }
 
-Status IncrementalGrounder::Engine::EmitIncrementalRule(GroundRule rule) {
+Status IncrementalGrounder::Engine::EmitRule(GroundRule rule) {
   if (store_.size() >= options_.max_ground_rules) {
-    return ResourceExhaustedError(
-        "ground rule limit exceeded (" +
-        std::to_string(options_.max_ground_rules) +
-        "); the program may not be finitely groundable");
+    return ground_internal::RuleLimitError(options_.max_ground_rules);
   }
   const uint32_t slot = static_cast<uint32_t>(store_.size());
   for (GroundAtomId b : rule.positive_body) body_rules_[b].push_back(slot);
@@ -510,7 +381,7 @@ Status IncrementalGrounder::Engine::ApplyNetDelta(const NetDelta& net) {
     if (change <= 0) continue;
     if (!atom.IsGround()) {
       return InvalidArgumentError("non-ground input fact: " +
-                                  atom.ToString(program_->symbol_table()));
+                                  atom.ToString(plan_->program.symbol_table()));
     }
     const GroundAtomId id = InternAtom(atom);
     window_counts_[atom] += static_cast<uint32_t>(change);
@@ -541,187 +412,41 @@ Status IncrementalGrounder::Engine::CheckWindowCounts(
   return OkStatus();
 }
 
-std::pair<size_t, size_t> IncrementalGrounder::Engine::LiteralRange(
-    const CompiledRule& rule, size_t position, int component,
-    size_t delta_position, bool round1) const {
-  const int pred = rule.positive_preds[position];
-  const PredicateExtension& ext = extensions_[pred];
-  const bool in_component =
-      component < num_components_ && pred_component_[pred] == component;
-  if (in_component) {
-    if (position < delta_position) return {0, ext.delta_begin};
-    if (position == delta_position) return {ext.delta_begin, ext.delta_end};
-    return {0, ext.delta_end};
-  }
-  // External predicate (earlier component or fact-only): its delta is this
-  // window's admissions, consumed in round 1 only.
-  if (!round1) return {0, ext.atoms.size()};
-  if (position < delta_position) return {0, ext.window_start};
-  if (position == delta_position) return {ext.window_start, ext.atoms.size()};
-  return {0, ext.atoms.size()};
-}
-
-Status IncrementalGrounder::Engine::MatchFrom(
-    CompiledRule* rule, size_t literal_index, int component,
-    size_t delta_position, bool round1, Binding* binding,
-    std::vector<GroundAtomId>* matched,
-    std::vector<bool>* comparison_done) {
-  if (literal_index == rule->positive.size()) {
-    return EmitInstance(rule, *binding, *matched);
-  }
-
-  const Atom& pattern = rule->positive[literal_index];
-  const int pred = rule->positive_preds[literal_index];
-  PredicateExtension& ext = extensions_[pred];
-  const auto [range_begin, range_end] =
-      LiteralRange(*rule, literal_index, component, delta_position, round1);
-  if (range_begin >= range_end) return OkStatus();
-
-  int index_position = -1;
-  PackedTerm index_key;
-  for (size_t p = 0; p < pattern.args().size(); ++p) {
-    index_key = ground_internal::BoundWord(pattern.args()[p], *binding);
-    if (index_key.has_value()) {
-      index_position = static_cast<int>(p);
-      break;
-    }
-  }
-
-  // Buckets are keyed by the argument's packed word, read off the atom
-  // table's columnar mirror — no Term hashing on the probe or build path.
-  ground_internal::PositionIndex* index = nullptr;
-  if (index_position >= 0) {
-    if (ext.indexes.empty()) ext.indexes.resize(pattern.args().size());
-    index = &ext.indexes[index_position];
-    while (index->indexed_until() < ext.atoms.size()) {
-      const GroundAtomId id = ext.atoms[index->indexed_until()];
-      if (id == kInvalidGroundAtom) {
-        index->Skip();  // Tombstone.
-      } else {
-        index->Append(atoms().PackedArgs(id)[index_position].bits());
-      }
-    }
-  }
-
-  auto try_candidate = [&](size_t extension_index) -> Status {
-    const GroundAtomId id = ext.atoms[extension_index];
-    if (id == kInvalidGroundAtom) return OkStatus();  // Retracted.
-    const PackedTerm* candidate_args = atoms().PackedArgs(id);
-    const size_t mark = binding->Mark();
-    bool matches = atoms().PackedArity(id) == pattern.args().size();
-    for (size_t p = 0; matches && p < pattern.args().size(); ++p) {
-      matches = MatchPackedTerm(pattern.args()[p], candidate_args[p], binding);
-    }
-    if (matches) {
-      std::vector<size_t> newly_done;
-      const bool comparisons_hold =
-          ResolveComparisons(*rule, binding, comparison_done, &newly_done);
-      if (comparisons_hold) {
-        (*matched)[literal_index] = id;
-        STREAMASP_RETURN_IF_ERROR(
-            MatchFrom(rule, literal_index + 1, component, delta_position,
-                      round1, binding, matched, comparison_done));
-      }
-      for (size_t c : newly_done) (*comparison_done)[c] = false;
-    }
-    binding->RewindTo(mark);
-    return OkStatus();
-  };
-
-  if (index != nullptr) {
-    // Buckets list extension indexes in ascending order. A later literal
-    // of the same predicate can lazily extend this very index while we
-    // are suspended in the recursion; entries it links lie beyond
-    // range_end, so the walk stops before them.
-    for (uint32_t i = index->First(index_key.bits());
-         i != ground_internal::PositionIndex::kEnd; i = index->Next(i)) {
-      if (i >= range_end) break;
-      if (i < range_begin) continue;
-      STREAMASP_RETURN_IF_ERROR(try_candidate(i));
-    }
-  } else {
-    for (size_t i = range_begin; i < range_end; ++i) {
-      STREAMASP_RETURN_IF_ERROR(try_candidate(i));
-    }
-  }
-  return OkStatus();
-}
-
-Status IncrementalGrounder::Engine::EmitInstance(
-    CompiledRule* rule, const Binding& binding,
-    const std::vector<GroundAtomId>& matched) {
-  GroundRule ground;
-  ground.positive_body.assign(matched.begin(), matched.end());
-
-  // Unlike the batch engine, negative literals are never resolved against
-  // a "fully evaluated" extension: under sliding windows every extension
-  // can still change, so the literal is kept and the per-window simplify
-  // pass prunes what the current window makes underivable.
-  for (size_t i = 0; i < rule->negatives.size(); ++i) {
-    if (!PackInstance(rule->negatives[i], binding, words_.data())) {
-      return OkStatus();  // Undefined arithmetic: skip the instance.
-    }
-    ground.negative_body.push_back(
-        InternInstance(rule->negatives[i], rule->negative_preds[i]));
-  }
-
-  for (size_t h = 0; h < rule->heads.size(); ++h) {
-    if (!PackInstance(rule->heads[h], binding, words_.data())) {
-      return OkStatus();  // Undefined arithmetic: skip the instance.
-    }
-    const GroundAtomId id = InternInstance(rule->heads[h], rule->head_preds[h]);
-    if (!derivable_[id]) Derive(id);
-    ground.head.push_back(id);
-  }
-  return EmitIncrementalRule(std::move(ground));
-}
-
-Status IncrementalGrounder::Engine::EvaluateRuleAt(CompiledRule* rule,
-                                                   int component,
-                                                   size_t delta_position,
-                                                   bool round1) {
-  binding_.RewindTo(0);
-  matched_.assign(rule->positive.size(), kInvalidGroundAtom);
-  comparison_done_.assign(rule->comparisons.size(), false);
-  upfront_done_.clear();
-  if (!ResolveComparisons(*rule, &binding_, &comparison_done_,
-                          &upfront_done_)) {
-    return OkStatus();  // The rule can never fire.
-  }
-  return MatchFrom(rule, 0, component, delta_position, round1, &binding_,
-                   &matched_, &comparison_done_);
-}
-
 Status IncrementalGrounder::Engine::EvaluateComponentIncremental(
-    int component, const std::vector<CompiledRule*>& rules) {
+    int component, const std::vector<const CompiledRule*>& rules) {
   if (rules.empty()) return OkStatus();
 
-  std::vector<int> component_preds;
-  if (component < num_components_) {
-    for (size_t p = 0; p < pred_signatures_.size(); ++p) {
-      if (pred_component_[p] == component) {
-        component_preds.push_back(static_cast<int>(p));
-        extensions_[p].delta_begin = extensions_[p].window_start;
-        extensions_[p].delta_end = extensions_[p].atoms.size();
-      }
-    }
+  static const std::vector<int> kNoPreds;
+  const std::vector<int>& component_preds =
+      component < plan_->num_components ? plan_->component_preds[component]
+                                        : kNoPreds;
+  for (int p : component_preds) {
+    extensions_[p].delta_begin = extensions_[p].window_start;
+    extensions_[p].delta_end = extensions_[p].atoms.size();
   }
 
   // Round 1: every position whose predicate has a window delta (admitted
   // facts or atoms derived by earlier components this window) takes the
   // delta role once; earlier positions see old-only, later ones see
   // everything — each new combination fires at its first delta position.
-  for (CompiledRule* rule : rules) {
+  round1_ = true;
+  for (const CompiledRule* rule : rules) {
     for (size_t j = 0; j < rule->positive.size(); ++j) {
-      const auto [db, de] = LiteralRange(*rule, j, component, j, true);
-      if (db >= de) continue;
-      STREAMASP_RETURN_IF_ERROR(EvaluateRuleAt(rule, component, j, true));
+      const int pred = rule->positive_preds[j];
+      const PredicateExtension& ext = extensions_[pred];
+      const bool has_delta = InComponent(pred, component)
+                                 ? ext.delta_begin < ext.delta_end
+                                 : ext.window_start < ext.atoms.size();
+      if (!has_delta) continue;
+      STREAMASP_RETURN_IF_ERROR(
+          EvaluateRule(rule, component, static_cast<int>(j)));
     }
   }
 
   // Semi-naive fixpoint for in-component recursion: later rounds advance
   // only the component's own deltas (external deltas were consumed in
   // round 1 and are full-range from here on).
+  round1_ = false;
   for (;;) {
     bool any_delta = false;
     for (int p : component_preds) {
@@ -732,11 +457,11 @@ Status IncrementalGrounder::Engine::EvaluateComponentIncremental(
       }
     }
     if (!any_delta) break;
-    for (CompiledRule* rule : rules) {
+    for (const CompiledRule* rule : rules) {
       if (!rule->recursive) continue;
       for (size_t j : rule->same_component_positions) {
         STREAMASP_RETURN_IF_ERROR(
-            EvaluateRuleAt(rule, component, j, false));
+            EvaluateRule(rule, component, static_cast<int>(j)));
       }
     }
   }
@@ -744,26 +469,27 @@ Status IncrementalGrounder::Engine::EvaluateComponentIncremental(
 }
 
 Status IncrementalGrounder::Engine::EvaluateWindow() {
-  for (int c = 0; c < num_components_; ++c) {
+  for (int c = 0; c < plan_->num_components; ++c) {
     STREAMASP_RETURN_IF_ERROR(
-        EvaluateComponentIncremental(c, component_rules_[c]));
+        EvaluateComponentIncremental(c, plan_->component_rules[c]));
   }
-  return EvaluateComponentIncremental(num_components_, constraints_);
+  return EvaluateComponentIncremental(plan_->num_components,
+                                      plan_->constraints);
 }
 
 Status IncrementalGrounder::Engine::Rebuild(const std::vector<Atom>& facts) {
   // Atom interning restarts, but the previous window's population is the
   // best size estimate: reserve up front so the hot Intern loop never
   // rehashes mid-window.
-  const size_t previous_atoms = out_.num_atoms();
-  out_ = GroundProgram();
-  if (previous_atoms > 0) out_.mutable_atoms().Reserve(previous_atoms);
+  const size_t previous_atoms = ground_.num_atoms();
+  ground_ = GroundProgram();
+  if (previous_atoms > 0) atoms().Reserve(previous_atoms);
   derivable_.clear();
   atom_pred_.clear();
   support_.clear();
   ext_pos_.clear();
   body_rules_.clear();
-  extensions_.assign(pred_signatures_.size(), PredicateExtension{});
+  extensions_.assign(plan_->pred_signatures.size(), PredicateExtension{});
   store_.clear();
   alive_.clear();
   dead_slots_.clear();
@@ -771,24 +497,25 @@ Status IncrementalGrounder::Engine::Rebuild(const std::vector<Atom>& facts) {
   window_counts_.clear();
 
   // Seed the program's own facts as permanently supported rules.
-  for (const Rule& rule : program_->rules()) {
+  const Program& program = plan_->program;
+  for (const Rule& rule : program.rules()) {
     if (!rule.body().empty()) continue;
     GroundRule ground;
     for (const Atom& head : rule.head()) {
       if (!head.IsGround()) {
         return InvalidArgumentError(
-            "non-ground fact: " + rule.ToString(program_->symbol_table()));
+            "non-ground fact: " + rule.ToString(program.symbol_table()));
       }
       ground.head.push_back(AddDerivedAtom(head));
     }
-    STREAMASP_RETURN_IF_ERROR(EmitIncrementalRule(std::move(ground)));
+    STREAMASP_RETURN_IF_ERROR(EmitRule(std::move(ground)));
   }
   // Window facts: derivable + supported, but their fact rules live in the
   // per-window output, not the cache.
   for (const Atom& fact : facts) {
     if (!fact.IsGround()) {
       return InvalidArgumentError("non-ground input fact: " +
-                                  fact.ToString(program_->symbol_table()));
+                                  fact.ToString(program.symbol_table()));
     }
     const GroundAtomId id = InternAtom(fact);
     ++window_counts_[fact];
@@ -803,9 +530,8 @@ Status IncrementalGrounder::Engine::Rebuild(const std::vector<Atom>& facts) {
   }
 
   // Fact-independent rules fire exactly once per rebuild.
-  for (CompiledRule* rule : groundless_) {
-    STREAMASP_RETURN_IF_ERROR(
-        EvaluateRuleAt(rule, rule->component, 0, true));
+  for (const CompiledRule* rule : groundless_) {
+    STREAMASP_RETURN_IF_ERROR(EvaluateRule(rule, rule->component, -1));
   }
 
   // With empty window_start marks everything seeded above is this
@@ -820,7 +546,7 @@ void IncrementalGrounder::Engine::AssembleOutput() {
   // (when enabled, as in the batch grounder) runs on the copy only: it is
   // window-specific — definite facts differ per window — so it can never
   // be folded into the cache itself.
-  std::vector<GroundRule>& rules = out_.mutable_rules();
+  std::vector<GroundRule>& rules = ground_.mutable_rules();
   rules.clear();
   rules.reserve(store_.size() + window_total_);
   rules.assign(store_.begin(), store_.end());
@@ -831,24 +557,14 @@ void IncrementalGrounder::Engine::AssembleOutput() {
       rules.push_back(GroundRule{{id}, {}, {}});
     }
   }
-  call_stats_.num_rules_raw = rules.size();
-  if (options_.simplify) {
-    ground_internal::SimplifyGroundRules(atoms().size(), derivable_, &rules,
-                                       &simplify_scratch_);
-  }
-  call_stats_.num_rules = rules.size();
-  call_stats_.num_atoms = atoms().size();
-  for (const GroundRule& rule : rules) {
-    if (rule.is_fact()) ++call_stats_.num_facts;
-    if (rule.is_constraint()) ++call_stats_.num_constraints;
-  }
+  SimplifyAndCount(options_.simplify, derivable_, &call_stats_);
 }
 
 Status IncrementalGrounder::Engine::GroundWindow(
     uint64_t sequence, const std::vector<Atom>& facts,
     const FactDelta* delta, GroundingStats* stats) {
   call_stats_ = GroundingStats{};
-  if (!prepared_) STREAMASP_RETURN_IF_ERROR(Prepare());
+  STREAMASP_RETURN_IF_ERROR(plan_->status);
 
   const size_t store_before = store_.size();
   bool full = !cache_valid_;

@@ -1,6 +1,11 @@
 #include "ground/instantiate.h"
 
 #include <algorithm>
+#include <memory>
+#include <string>
+
+#include "graph/components.h"
+#include "graph/graph.h"
 
 namespace streamasp {
 namespace ground_internal {
@@ -340,5 +345,136 @@ void SimplifyGroundRules(size_t num_atoms, const std::vector<bool>& derivable,
   rules.resize(facts + survivors);
 }
 
+Status RuleLimitError(size_t max_ground_rules) {
+  return ResourceExhaustedError(
+      "ground rule limit exceeded (" + std::to_string(max_ground_rules) +
+      "); the program may not be finitely groundable");
+}
+
 }  // namespace ground_internal
+
+using ground_internal::CompiledRule;
+
+int GroundingPlan::Register(const PredicateSignature& sig) {
+  auto [it, inserted] = pred_index.try_emplace(
+      sig, static_cast<int>(pred_signatures.size()));
+  if (inserted) {
+    pred_signatures.push_back(sig);
+    max_arity = std::max(max_arity, sig.arity);
+  }
+  return it->second;
+}
+
+GroundingPlan::GroundingPlan(const Program* program_ptr)
+    : program(*program_ptr), status(program_ptr->Validate()) {
+  if (!status.ok()) return;
+  // Register every predicate so indexes are stable.
+  for (const Rule& rule : program.rules()) {
+    for (const Atom& a : rule.head()) Register(a.signature());
+    for (const Literal& l : rule.body()) {
+      if (l.is_atom()) Register(l.atom().signature());
+    }
+  }
+
+  Digraph dependencies(static_cast<NodeId>(pred_signatures.size()));
+  for (const Rule& rule : program.rules()) {
+    for (const Atom& head : rule.head()) {
+      const int head_pred = Register(head.signature());
+      for (const Literal& l : rule.body()) {
+        if (!l.is_atom()) continue;
+        dependencies.AddEdge(
+            static_cast<NodeId>(Register(l.atom().signature())),
+            static_cast<NodeId>(head_pred));
+      }
+    }
+    // Disjunctive head predicates must be instantiated together: a rule
+    // deriving one of them can retroactively feed rules over another.
+    for (size_t i = 0; i + 1 < rule.head().size(); ++i) {
+      for (size_t j = i + 1; j < rule.head().size(); ++j) {
+        const NodeId a =
+            static_cast<NodeId>(Register(rule.head()[i].signature()));
+        const NodeId b =
+            static_cast<NodeId>(Register(rule.head()[j].signature()));
+        dependencies.AddEdge(a, b);
+        dependencies.AddEdge(b, a);
+      }
+    }
+  }
+
+  // Predicates that only input facts carry are left out of the graph:
+  // they would be isolated nodes, which only shift every component id by
+  // the same amount, so the schedule is the same with or without them.
+  const ComponentAssignment components =
+      StronglyConnectedComponents(dependencies);
+  num_components = components.num_components;
+  pred_component = components.component_of;
+  component_preds.assign(num_components, {});
+  for (size_t p = 0; p < pred_component.size(); ++p) {
+    component_preds[pred_component[p]].push_back(static_cast<int>(p));
+  }
+  Compile();
+}
+
+void GroundingPlan::Compile() {
+  component_rules.assign(num_components, {});
+  compiled.reserve(program.rules().size());
+  for (const Rule& rule : program.rules()) {
+    if (rule.body().empty()) continue;  // Facts are seeded separately.
+    CompiledRule cr;
+    for (const Atom& head : rule.head()) {
+      cr.heads.push_back(head);
+      cr.head_preds.push_back(Register(head.signature()));
+    }
+    for (const Literal& l : rule.body()) {
+      switch (l.kind()) {
+        case Literal::Kind::kPositiveAtom:
+          cr.positive.push_back(l.atom());
+          cr.positive_preds.push_back(Register(l.atom().signature()));
+          break;
+        case Literal::Kind::kNegativeAtom:
+          cr.negatives.push_back(l.atom());
+          cr.negative_preds.push_back(Register(l.atom().signature()));
+          break;
+        case Literal::Kind::kComparison: {
+          cr.comparisons.push_back(l);
+          std::vector<SymbolId> vars;
+          l.CollectVariables(&vars);
+          std::sort(vars.begin(), vars.end());
+          vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+          cr.comparison_vars.push_back(std::move(vars));
+          break;
+        }
+      }
+    }
+    if (cr.heads.empty()) {
+      // Constraints run after all components are fully instantiated.
+      cr.component = num_components;
+      compiled.push_back(std::move(cr));
+      continue;
+    }
+    // All head predicates share a component (mutual edges); schedule the
+    // rule there.
+    cr.component = pred_component[cr.head_preds.front()];
+    for (size_t i = 0; i < cr.positive.size(); ++i) {
+      if (pred_component[cr.positive_preds[i]] == cr.component) {
+        cr.recursive = true;
+        cr.same_component_positions.push_back(i);
+      }
+    }
+    compiled.push_back(std::move(cr));
+  }
+  // Pointers into compiled are stable from here on.
+  for (const CompiledRule& cr : compiled) {
+    if (cr.heads.empty()) {
+      constraints.push_back(&cr);
+    } else {
+      component_rules[cr.component].push_back(&cr);
+    }
+  }
+}
+
+GroundingPlanPtr PrepareGrounding(const Program* program) {
+  return std::make_shared<const GroundingPlan>(program);
+}
+
 }  // namespace streamasp

@@ -1,25 +1,34 @@
 #ifndef STREAMASP_GROUND_INSTANTIATE_H_
 #define STREAMASP_GROUND_INSTANTIATE_H_
 
-/// Shared machinery of the bottom-up instantiators: variable bindings with
-/// trail-based undo, term matching/substitution, comparison resolution,
-/// the compiled-rule representation, per-predicate extensions with lazy
-/// join indexes, and the equivalence-preserving ground-program
-/// simplification. Used by both the batch Grounder (ground/grounder.cc)
-/// and the window-to-window IncrementalGrounder
-/// (ground/incremental_grounder.cc), which differ only in how they drive
-/// these primitives (one-shot semi-naive vs delta-replay over a retained
-/// extension cache).
+/// The one grounding core both instantiators run on: the program's
+/// GroundingPlan (validation, predicate registry, SCC schedule, compiled
+/// rules), the semi-naive matcher InstantiationCore, and the primitives
+/// beneath them — variable bindings with trail-based undo, term matching,
+/// comparison resolution, per-predicate extensions with lazy join indexes
+/// and the equivalence-preserving ground-program simplification.
+///
+/// The batch Grounder (ground/grounder.cc) and the window-to-window
+/// IncrementalGrounder (ground/incremental_grounder.cc) are thin clients
+/// that differ in three policies only: the visible range of literals
+/// outside the component under evaluation (everything vs the window's
+/// admissions in round 1), eager resolution of negative literals against
+/// finished extensions (batch only), and support bookkeeping with
+/// tombstoned extension entries (incremental only).
 
 #include <cstdint>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "asp/atom.h"
 #include "asp/literal.h"
 #include "asp/packed_term.h"
+#include "asp/program.h"
 #include "asp/term.h"
 #include "ground/ground_program.h"
+#include "ground/grounder.h"
+#include "util/status.h"
 
 namespace streamasp {
 namespace ground_internal {
@@ -222,6 +231,284 @@ struct SimplifyScratch {
 void SimplifyGroundRules(size_t num_atoms, const std::vector<bool>& derivable,
                          std::vector<GroundRule>* rules,
                          SimplifyScratch* scratch);
+
+/// The error both grounders return once the instances they emitted reach
+/// GroundingOptions::max_ground_rules.
+Status RuleLimitError(size_t max_ground_rules);
+
+}  // namespace ground_internal
+
+/// The program-dependent half of grounding, built once per program by
+/// PrepareGrounding and shared read-only by every engine over it.
+class GroundingPlan {
+ public:
+  explicit GroundingPlan(const Program* program);
+
+  /// Index of a registered predicate, or -1 for one no rule mentions
+  /// (input facts only): such atoms are interned and derivable but need
+  /// no extension, since no rule reads them.
+  int PredIndexOf(const PredicateSignature& sig) const {
+    auto it = pred_index.find(sig);
+    return it == pred_index.end() ? -1 : it->second;
+  }
+
+  const Program& program;
+  Status status;  ///< Program::Validate's verdict.
+  std::unordered_map<PredicateSignature, int, PredicateSignatureHash>
+      pred_index;
+  std::vector<PredicateSignature> pred_signatures;
+  std::vector<int> pred_component;
+  std::vector<std::vector<int>> component_preds;
+  /// Every rule with a body, in program order. Rules without a positive
+  /// body sit in the lists below like any other.
+  std::vector<ground_internal::CompiledRule> compiled;
+  std::vector<std::vector<const ground_internal::CompiledRule*>>
+      component_rules;
+  std::vector<const ground_internal::CompiledRule*> constraints;
+  int num_components = 0;
+  uint32_t max_arity = 0;
+
+ private:
+  int Register(const PredicateSignature& sig);
+  void Compile();
+};
+
+namespace ground_internal {
+
+/// The semi-naive matcher of both grounders. It owns what every engine
+/// keeps per program — the output program (atom table and rules), one
+/// extension per registered predicate, and the match scratch — and
+/// evaluates one rule at a time: comparisons that need no binding are
+/// resolved first, then the positive body is matched left to right, each
+/// literal against the range of its extension the current round may see,
+/// through a lazily extended join index when an argument is bound.
+///
+/// `Engine` derives from InstantiationCore<Engine> and supplies the
+/// policies, dispatched statically:
+///   Range ExternalRange(const PredicateExtension& ext, size_t position)
+///       the visible range of positive literal `position` when its
+///       predicate lies outside the component under evaluation;
+///   GroundAtomId NegativeInstance(const Atom& pattern, int pred)
+///       the atom of the negative literal packed in words_, or
+///       kInvalidGroundAtom to drop the literal from the instance;
+///   GroundAtomId HeadInstance(const Atom& pattern, int pred)
+///       interns and derives the head atom packed in words_;
+///   Status EmitRule(GroundRule rule)
+///       stores one finished instance.
+template <class Engine>
+class InstantiationCore {
+ public:
+  using Range = std::pair<size_t, size_t>;
+
+ protected:
+  explicit InstantiationCore(GroundingPlanPtr plan)
+      : plan_(std::move(plan)),
+        extensions_(plan_->pred_signatures.size()),
+        words_(plan_->max_arity) {}
+
+  AtomTable& atoms() { return ground_.mutable_atoms(); }
+
+  /// True iff registered predicate `pred` belongs to `component`; the
+  /// constraint pass (component num_components) owns none.
+  bool InComponent(int pred, int component) const {
+    return component < plan_->num_components &&
+           plan_->pred_component[pred] == component;
+  }
+
+  /// Matches `rule` as part of `component`. In-component literals follow
+  /// the semi-naive split: with delta_position >= 0, that literal sees
+  /// only its predicate's delta, earlier ones the old part and later ones
+  /// old plus delta; delta_position -1 lets all of them see old plus
+  /// delta.
+  Status EvaluateRule(const CompiledRule* rule, int component,
+                      int delta_position) {
+    component_ = component;
+    delta_position_ = delta_position;
+    binding_.RewindTo(0);
+    matched_.assign(rule->positive.size(), kInvalidGroundAtom);
+    comparison_done_.assign(rule->comparisons.size(), false);
+    done_trail_.clear();
+    // Variable-free comparisons and seed assignments (X = 3 + 4) decide or
+    // pre-bind before any literal is matched.
+    if (!ResolveComparisons(*rule, &binding_, &comparison_done_,
+                            &done_trail_)) {
+      return OkStatus();  // The rule can never fire.
+    }
+    return MatchFrom(rule, 0);
+  }
+
+  /// Fills the size counters of `stats` from ground_'s rules, simplifying
+  /// them first when `simplify` is set.
+  void SimplifyAndCount(bool simplify, const std::vector<bool>& derivable,
+                        GroundingStats* stats) {
+    std::vector<GroundRule>& rules = ground_.mutable_rules();
+    stats->num_rules_raw = rules.size();
+    if (simplify) {
+      SimplifyGroundRules(atoms().size(), derivable, &rules, &simplify_);
+    }
+    stats->num_rules = rules.size();
+    stats->num_atoms = atoms().size();
+    stats->num_facts = stats->num_constraints = 0;
+    for (const GroundRule& rule : rules) {
+      if (rule.is_fact()) ++stats->num_facts;
+      if (rule.is_constraint()) ++stats->num_constraints;
+    }
+  }
+
+  GroundingPlanPtr plan_;
+  GroundProgram ground_;
+  std::vector<PredicateExtension> extensions_;
+  /// Packed instance of the head or negative being emitted.
+  std::vector<PackedTerm> words_;
+  // The evaluation under way (see EvaluateRule).
+  int component_ = 0;
+  int delta_position_ = -1;
+
+ private:
+  Range LiteralRange(const CompiledRule& rule, size_t position) const {
+    const int pred = rule.positive_preds[position];
+    const PredicateExtension& ext = extensions_[pred];
+    if (!InComponent(pred, component_)) {
+      return static_cast<const Engine&>(*this).ExternalRange(ext, position);
+    }
+    if (delta_position_ < 0) return {0, ext.delta_end};
+    const size_t delta_position = static_cast<size_t>(delta_position_);
+    if (position < delta_position) return {0, ext.delta_begin};
+    if (position == delta_position) return {ext.delta_begin, ext.delta_end};
+    return {0, ext.delta_end};
+  }
+
+  Status MatchFrom(const CompiledRule* rule, size_t literal_index);
+
+  /// Instances are packed straight from the binding and interned from the
+  /// words; an atom seen before costs one index probe and no Atom.
+  Status EmitInstance(const CompiledRule* rule);
+
+  // Match scratch: one rule is evaluated at a time, and the recursion over
+  // its body literals shares these through marks.
+  Binding binding_;
+  std::vector<GroundAtomId> matched_;
+  std::vector<bool> comparison_done_;
+  /// Comparisons resolved so far, in order; each match level unmarks its
+  /// own suffix on backtracking.
+  std::vector<size_t> done_trail_;
+  SimplifyScratch simplify_;
+};
+
+// Defined outside the class body, so neither carries the implicit inline
+// request of an in-class definition: GCC then keeps EmitInstance out of
+// the recursive MatchFrom, whose stack frame every recursion level pays.
+
+template <class Engine>
+Status InstantiationCore<Engine>::MatchFrom(const CompiledRule* rule,
+                                           size_t literal_index) {
+  if (literal_index == rule->positive.size()) return EmitInstance(rule);
+
+  const Atom& pattern = rule->positive[literal_index];
+  PredicateExtension& ext = extensions_[rule->positive_preds[literal_index]];
+  const auto [range_begin, range_end] = LiteralRange(*rule, literal_index);
+  if (range_begin >= range_end) return OkStatus();
+
+  // Pick an argument position that is ground under the current binding
+  // to drive an index lookup; fall back to a scan.
+  int index_position = -1;
+  PackedTerm index_key;
+  for (size_t p = 0; p < pattern.args().size(); ++p) {
+    index_key = BoundWord(pattern.args()[p], binding_);
+    if (index_key.has_value()) {
+      index_position = static_cast<int>(p);
+      break;
+    }
+  }
+
+  // The candidate list: either an index bucket or the full range.
+  // Buckets are keyed by the argument's packed word, read off the atom
+  // table's columnar mirror — no Term hashing on the probe or build path.
+  PositionIndex* index = nullptr;
+  if (index_position >= 0) {
+    if (ext.indexes.empty()) ext.indexes.resize(pattern.args().size());
+    index = &ext.indexes[index_position];
+    // Extend the index to cover the whole extension (cheap, amortized).
+    while (index->indexed_until() < ext.atoms.size()) {
+      const GroundAtomId id = ext.atoms[index->indexed_until()];
+      if (id == kInvalidGroundAtom) {
+        index->Skip();  // Tombstone.
+      } else {
+        index->Append(atoms().PackedArgs(id)[index_position].bits());
+      }
+    }
+  }
+
+  auto try_candidate = [&](size_t extension_index) -> Status {
+    const GroundAtomId id = ext.atoms[extension_index];
+    if (id == kInvalidGroundAtom) return OkStatus();  // Tombstone.
+    const PackedTerm* candidate_args = atoms().PackedArgs(id);
+    const size_t mark = binding_.Mark();
+    bool matches = atoms().PackedArity(id) == pattern.args().size();
+    for (size_t p = 0; matches && p < pattern.args().size(); ++p) {
+      matches = MatchPackedTerm(pattern.args()[p], candidate_args[p],
+                                &binding_);
+    }
+    if (matches) {
+      // Resolve comparisons/assignments that just became ground; prune
+      // on failure. Assignment bindings land on the same trail and are
+      // rewound with the candidate's mark.
+      const size_t done_mark = done_trail_.size();
+      if (ResolveComparisons(*rule, &binding_, &comparison_done_,
+                             &done_trail_)) {
+        matched_[literal_index] = id;
+        STREAMASP_RETURN_IF_ERROR(MatchFrom(rule, literal_index + 1));
+      }
+      for (size_t k = done_mark; k < done_trail_.size(); ++k) {
+        comparison_done_[done_trail_[k]] = false;
+      }
+      done_trail_.resize(done_mark);
+    }
+    binding_.RewindTo(mark);
+    return OkStatus();
+  };
+
+  if (index != nullptr) {
+    // Buckets list extension indexes in ascending order. A later literal
+    // of the same predicate can lazily extend this very index while we
+    // are suspended in the recursion; entries it links lie beyond
+    // range_end, so the walk stops before them.
+    for (uint32_t i = index->First(index_key.bits());
+         i != PositionIndex::kEnd; i = index->Next(i)) {
+      if (i >= range_end) break;
+      if (i < range_begin) continue;
+      STREAMASP_RETURN_IF_ERROR(try_candidate(i));
+    }
+  } else {
+    for (size_t i = range_begin; i < range_end; ++i) {
+      STREAMASP_RETURN_IF_ERROR(try_candidate(i));
+    }
+  }
+  return OkStatus();
+}
+
+template <class Engine>
+Status InstantiationCore<Engine>::EmitInstance(const CompiledRule* rule) {
+  Engine& engine = static_cast<Engine&>(*this);
+  GroundRule ground;
+  ground.positive_body.assign(matched_.begin(), matched_.end());
+  for (size_t i = 0; i < rule->negatives.size(); ++i) {
+    if (!PackInstance(rule->negatives[i], binding_, words_.data())) {
+      return OkStatus();  // Undefined arithmetic: skip the instance.
+    }
+    const GroundAtomId id =
+        engine.NegativeInstance(rule->negatives[i], rule->negative_preds[i]);
+    if (id != kInvalidGroundAtom) ground.negative_body.push_back(id);
+  }
+  for (size_t i = 0; i < rule->heads.size(); ++i) {
+    if (!PackInstance(rule->heads[i], binding_, words_.data())) {
+      return OkStatus();  // Undefined arithmetic: skip the instance.
+    }
+    ground.head.push_back(
+        engine.HeadInstance(rule->heads[i], rule->head_preds[i]));
+  }
+  return engine.EmitRule(std::move(ground));
+}
 
 }  // namespace ground_internal
 }  // namespace streamasp

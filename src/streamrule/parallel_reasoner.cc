@@ -49,22 +49,6 @@ ParallelReasoner::ParallelReasoner(const Program* program,
       reasoner_(program, reasoner_options_) {
   const size_t threads = ResolveThreadCount(options.num_threads);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-  if (reasoner_options_.reuse_grounding) {
-    const int partitions = handler_.plan().num_communities();
-    partition_grounders_.reserve(partitions);
-    for (int i = 0; i < partitions; ++i) {
-      partition_grounders_.push_back(std::make_unique<IncrementalGrounder>(
-          program_, reasoner_options_.grounding,
-          reasoner_options_.incremental));
-    }
-    if (reasoner_options_.solving.reuse_solving) {
-      partition_solvers_.reserve(partitions);
-      for (int i = 0; i < partitions; ++i) {
-        partition_solvers_.push_back(
-            std::make_unique<IncrementalSolver>(reasoner_options_.solving));
-      }
-    }
-  }
 }
 
 StatusOr<ParallelReasonerResult> ParallelReasoner::Process(
@@ -181,9 +165,8 @@ StatusOr<ParallelReasonerResult> ParallelReasoner::RunPartitions(
 
 StatusOr<ParallelReasonerResult> ParallelReasoner::RunIncrementalWindows(
     const std::vector<TripleWindow>& sub_windows) {
-  // Normally sized by the constructor, but an empty plan (0 communities)
-  // still yields one fallback partition from PartitioningHandler, so
-  // grow on demand rather than index past the vector.
+  // One engine per partition, made on the first window that reaches it
+  // (an empty plan still yields one fallback partition).
   while (partition_grounders_.size() < sub_windows.size()) {
     partition_grounders_.push_back(std::make_unique<IncrementalGrounder>(
         program_, reasoner_options_.grounding,

@@ -11,7 +11,8 @@ struct Reasoner::Workspace {
   explicit Workspace(GroundingPlanPtr plan) : ground(std::move(plan)) {}
 
   std::vector<Atom> facts;
-  GroundingWorkspace ground;
+  IncrementalGrounder::FactDelta delta;  ///< Incremental path only.
+  GroundingWorkspace ground;             ///< Cold path only.
   SolveWorkspace solve;
 };
 
@@ -68,10 +69,10 @@ StatusOr<ReasonerResult> Reasoner::Process(
     const TripleWindow& window, IncrementalGrounder* grounder,
     IncrementalSolver* solver) const {
   if (grounder == nullptr) return Process(window);
+  std::unique_ptr<Workspace> workspace = AcquireWorkspace();
   WallTimer total;
   WallTimer phase;
-  STREAMASP_ASSIGN_OR_RETURN(std::vector<Atom> facts,
-                             format_.ToFacts(window.items));
+  Status converted = format_.ToFacts(window.items, &workspace->facts);
   // The windower's delta (when present and not the first window) becomes
   // the grounder's diff hint; conversion of the delta counts as
   // conversion time, as the paper requires for all data transformation.
@@ -79,24 +80,26 @@ StatusOr<ReasonerResult> Reasoner::Process(
   // shedding that may be further back than sequence-1 (folded deltas
   // net the change across the shed gap); the grounder/solver compare it
   // against their cached sequence and snapshot-diff on mismatch.
-  IncrementalGrounder::FactDelta delta;
-  const IncrementalGrounder::FactDelta* delta_ptr = nullptr;
-  if (window.has_delta && window.delta_base != TripleWindow::kNoDeltaBase) {
-    delta.previous_sequence = window.delta_base;
-    STREAMASP_ASSIGN_OR_RETURN(delta.expired,
-                               format_.ToFacts(window.expired));
-    STREAMASP_ASSIGN_OR_RETURN(delta.admitted,
-                               format_.ToFacts(window.admitted));
-    delta_ptr = &delta;
+  const IncrementalGrounder::FactDelta* delta = nullptr;
+  if (converted.ok() && window.has_delta &&
+      window.delta_base != TripleWindow::kNoDeltaBase) {
+    workspace->delta.previous_sequence = window.delta_base;
+    converted = format_.ToFacts(window.expired, &workspace->delta.expired);
+    if (converted.ok()) {
+      converted = format_.ToFacts(window.admitted, &workspace->delta.admitted);
+    }
+    delta = &workspace->delta;
   }
   const double convert_ms = phase.ElapsedMillis();
-
-  STREAMASP_ASSIGN_OR_RETURN(
-      ReasonerResult result,
-      ProcessFactsIncremental(window.sequence, facts, delta_ptr, grounder,
-                              solver));
-  result.convert_ms = convert_ms;
-  result.latency_ms = total.ElapsedMillis();
+  StatusOr<ReasonerResult> result =
+      converted.ok()
+          ? ProcessIncrementalFacts(window.sequence, workspace->facts, delta,
+                                    grounder, solver, workspace.get())
+          : StatusOr<ReasonerResult>(converted);
+  ReleaseWorkspace(std::move(workspace));
+  if (!result.ok()) return result.status();
+  result->convert_ms = convert_ms;
+  result->latency_ms = total.ElapsedMillis();
   return result;
 }
 
@@ -104,6 +107,17 @@ StatusOr<ReasonerResult> Reasoner::ProcessFacts(
     const std::vector<Atom>& facts) const {
   std::unique_ptr<Workspace> workspace = AcquireWorkspace();
   StatusOr<ReasonerResult> result = ProcessColdFacts(facts, workspace.get());
+  ReleaseWorkspace(std::move(workspace));
+  return result;
+}
+
+StatusOr<ReasonerResult> Reasoner::ProcessFactsIncremental(
+    uint64_t sequence, const std::vector<Atom>& facts,
+    const IncrementalGrounder::FactDelta* delta,
+    IncrementalGrounder* grounder, IncrementalSolver* solver) const {
+  std::unique_ptr<Workspace> workspace = AcquireWorkspace();
+  StatusOr<ReasonerResult> result = ProcessIncrementalFacts(
+      sequence, facts, delta, grounder, solver, workspace.get());
   ReleaseWorkspace(std::move(workspace));
   return result;
 }
@@ -125,10 +139,11 @@ StatusOr<ReasonerResult> Reasoner::ProcessColdFacts(
   return result;
 }
 
-StatusOr<ReasonerResult> Reasoner::ProcessFactsIncremental(
+StatusOr<ReasonerResult> Reasoner::ProcessIncrementalFacts(
     uint64_t sequence, const std::vector<Atom>& facts,
     const IncrementalGrounder::FactDelta* delta,
-    IncrementalGrounder* grounder, IncrementalSolver* solver) const {
+    IncrementalGrounder* grounder, IncrementalSolver* solver,
+    Workspace* workspace) const {
   if (solver == nullptr && !grounder->assembles_output()) {
     // The cold tail would silently solve the never-assembled (stale or
     // empty) output program; fail loudly instead.
@@ -149,8 +164,8 @@ StatusOr<ReasonerResult> Reasoner::ProcessFactsIncremental(
     STREAMASP_RETURN_IF_ERROR(
         SolveIncremental(sequence, facts, grounder, solver, &result));
   } else {
-    SolveWorkspace workspace;
-    STREAMASP_RETURN_IF_ERROR(SolveGround(*ground, &workspace, &result));
+    STREAMASP_RETURN_IF_ERROR(
+        SolveGround(*ground, &workspace->solve, &result));
   }
   result.latency_ms = total.ElapsedMillis();
   return result;

@@ -75,6 +75,8 @@ struct ReasonerResult {
 /// mutex-guarded free list (creating one when all are busy) and returns
 /// it when done, so the reasoner keeps as many workspaces as it has seen
 /// concurrent callers, each bounded by the largest window it has served.
+/// The incremental overloads check out the same workspaces for their fact
+/// and delta buffers and, without an IncrementalSolver, for the solve.
 class Reasoner {
  public:
   /// `program` must outlive the reasoner. The data format processor is
@@ -118,7 +120,7 @@ class Reasoner {
   const Program& program() const { return *program_; }
 
  private:
-  /// Cold-path scratch of one caller (see the class comment).
+  /// Scratch of one caller (see the class comment).
   struct Workspace;
 
   /// Checks a workspace out of the free list, or makes a new one.
@@ -128,6 +130,14 @@ class Reasoner {
   /// The cold path on a checked-out workspace: ground + solve `facts`.
   StatusOr<ReasonerResult> ProcessColdFacts(const std::vector<Atom>& facts,
                                             Workspace* workspace) const;
+
+  /// The incremental path on a checked-out workspace, whose solve buffers
+  /// serve the cold solve tail when `solver` is null.
+  StatusOr<ReasonerResult> ProcessIncrementalFacts(
+      uint64_t sequence, const std::vector<Atom>& facts,
+      const IncrementalGrounder::FactDelta* delta,
+      IncrementalGrounder* grounder, IncrementalSolver* solver,
+      Workspace* workspace) const;
 
   /// Shared solve + answer-extraction tail of the cold Process variants.
   Status SolveGround(const GroundProgram& ground, SolveWorkspace* workspace,

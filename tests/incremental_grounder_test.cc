@@ -54,12 +54,28 @@ class IncrementalGrounderTest : public ::testing::Test {
     return Atom(symbols_->Intern(pred), std::move(args));
   }
 
+  /// The windower's delta from the window starting at `begin - slide` to
+  /// the one starting at `begin`.
+  static IncrementalGrounder::FactDelta SlideHint(
+      const std::vector<Atom>& stream, size_t begin, size_t window,
+      size_t slide, uint64_t previous_sequence) {
+    IncrementalGrounder::FactDelta hint;
+    hint.previous_sequence = previous_sequence;
+    hint.expired.assign(stream.begin() + (begin - slide),
+                        stream.begin() + begin);
+    hint.admitted.assign(stream.begin() + (begin - slide) + window,
+                         stream.begin() + begin + window);
+    return hint;
+  }
+
   /// Slides a [window, slide] view over `stream` and checks, per window,
-  /// that the incremental grounding is answer-equivalent to a fresh one.
+  /// that the incremental grounding is answer-equivalent to a fresh one,
+  /// handing the grounder each window's delta when `delta_hints` is set.
   /// Returns the incremental grounder's cumulative stats.
   GroundingStats RunDifferential(
       const Program& program, const std::vector<Atom>& stream, size_t window,
-      size_t slide, IncrementalGroundingOptions inc_options = {}) {
+      size_t slide, IncrementalGroundingOptions inc_options = {},
+      bool delta_hints = false) {
     IncrementalGrounder incremental(&program, GroundingOptions{},
                                     inc_options);
     const Grounder fresh;
@@ -68,7 +84,12 @@ class IncrementalGrounderTest : public ::testing::Test {
          begin += slide, ++sequence) {
       const std::vector<Atom> facts(stream.begin() + begin,
                                     stream.begin() + begin + window);
-      CheckWindow(program, incremental, fresh, sequence, facts, nullptr);
+      const bool hinted = delta_hints && sequence > 0;
+      const IncrementalGrounder::FactDelta hint =
+          hinted ? SlideHint(stream, begin, window, slide, sequence - 1)
+                 : IncrementalGrounder::FactDelta{};
+      CheckWindow(program, incremental, fresh, sequence, facts,
+                  hinted ? &hint : nullptr);
     }
     return incremental.cumulative_stats();
   }
@@ -113,6 +134,17 @@ constexpr char kChoiceProgram[] = R"(
 constexpr char kConstraintProgram[] = R"(
   warm(X) :- hot(X).
   :- warm(X), cold(X).
+)";
+
+// The plan cases the two grounders share: rules and a constraint with no
+// positive body, a predicate that occurs only under negation (muted, off)
+// and, in the stream, one that no rule mentions (noise).
+constexpr char kGroundlessProgram[] = R"(
+  on :- not off.
+  k(X) :- X = 3 + 4.
+  :- not on.
+  alert(X) :- high(X), on, not muted(X).
+  big(X) :- high(X), k(Y), Y < X.
 )";
 
 TEST_F(IncrementalGrounderTest, JoinNegationAcrossSlideSizes) {
@@ -186,6 +218,27 @@ TEST_F(IncrementalGrounderTest, ConstraintsCanEmptyTheModels) {
   }
 }
 
+TEST_F(IncrementalGrounderTest, GroundlessRulesAndUnreadPredicates) {
+  const Program program = MustParse(kGroundlessProgram);
+  std::vector<Atom> stream;
+  for (int i = 0; i < 30; ++i) {
+    const char* pred = i % 3 == 0 ? "muted" : i % 3 == 1 ? "high" : "noise";
+    stream.push_back(MakeAtom(pred, {Term::Integer(i % 11)}));
+  }
+  for (const bool hints : {false, true}) {
+    for (const size_t slide : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+      SCOPED_TRACE(std::string(hints ? "hinted" : "diffed") + " slide " +
+                   std::to_string(slide));
+      const GroundingStats stats = RunDifferential(
+          program, stream, /*window=*/8, slide, {}, hints);
+      // Net deltas above half the window (slide > 2) rebuild instead.
+      if (slide <= 2) {
+        EXPECT_GT(stats.incremental_windows, 0u);
+      }
+    }
+  }
+}
+
 TEST_F(IncrementalGrounderTest, DuplicateFactsAcrossWindows) {
   const Program program = MustParse(kJoinNegationProgram);
   std::vector<Atom> stream;
@@ -242,17 +295,11 @@ TEST_F(IncrementalGrounderTest, DeltaHintMatchesSnapshotDiff) {
        begin += slide, ++sequence) {
     const std::vector<Atom> facts(stream.begin() + begin,
                                   stream.begin() + begin + window);
-    IncrementalGrounder::FactDelta hint;
-    const IncrementalGrounder::FactDelta* hint_ptr = nullptr;
-    if (sequence > 0) {
-      hint.previous_sequence = sequence - 1;
-      hint.expired.assign(stream.begin() + (begin - slide),
-                          stream.begin() + begin);
-      hint.admitted.assign(stream.begin() + (begin - slide) + window,
-                           stream.begin() + begin + window);
-      hint_ptr = &hint;
-    }
-    CheckWindow(program, with_hint, fresh, sequence, facts, hint_ptr);
+    const IncrementalGrounder::FactDelta hint =
+        sequence > 0 ? SlideHint(stream, begin, window, slide, sequence - 1)
+                     : IncrementalGrounder::FactDelta{};
+    CheckWindow(program, with_hint, fresh, sequence, facts,
+                sequence > 0 ? &hint : nullptr);
     CheckWindow(program, without_hint, fresh, sequence, facts, nullptr);
   }
   // The hint path must not change what got reused.
