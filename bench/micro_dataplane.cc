@@ -134,15 +134,14 @@ ProbeResult BenchColumnarWindow(const SymbolTablePtr& symbols, size_t scale) {
   for (size_t i = 0; i < n; ++i) raw.push_back(rng.Next());
 
   WallTimer store_timer;
-  WindowStore store(
-      WindowStore::Options{/*with_timestamps=*/false, /*with_shards=*/true});
+  WindowStore store(WindowStore::Options{/*with_shards=*/true});
   uint64_t store_sink = 0;
   for (size_t i = 0; i < n; ++i) {
     const uint64_t r = raw[i];
     store.Append(
         Triple{PackedTerm::Symbol(static_cast<SymbolId>(r & 0xffff)), pred,
                PackedTerm::Integer(static_cast<int64_t>(r >> 16 & 0xffff))},
-        0, static_cast<uint32_t>(i & 3));
+        static_cast<uint32_t>(i & 3));
     if (store.size() > window) {
       store_sink += store.Front().predicate;
       store.PopFront();

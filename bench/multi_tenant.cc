@@ -12,9 +12,10 @@
 //   * shared-greedy    — one of the saturating tenants (representative):
 //                        lossless under kBlock admission, so its
 //                        completeness floor is 1.0 even while saturated.
-//   * dedicated-steady — the same contention shape on per-tenant engine
-//                        threads (no shared pool): the O(sessions)-thread
-//                        baseline the pool replaces.
+//   * dedicated-steady — the same contention shape on per-tenant private
+//                        one-thread reasoner pools (no shared pool): the
+//                        O(sessions)-thread baseline the shared pool
+//                        replaces.
 //
 // Pacing is self-clocked, not timed. The steady tenant pushes one window
 // and flushes (a delivery barrier) per round, so each round's emit
@@ -297,7 +298,8 @@ int main(int argc, char** argv) {
   }
 
   // Per-tenant-threads baseline: same contention shape, every engine on
-  // its own reasoning thread (the O(sessions) budget the pool replaces).
+  // its own one-thread private pool (the O(sessions) budget the shared
+  // pool replaces).
   {
     std::atomic<bool> stop{false};
     std::vector<std::unique_ptr<GreedyTenant>> tenants;
@@ -306,7 +308,7 @@ int main(int argc, char** argv) {
     BenchRun steady = RunSteady(*program, steady_windows,
                                 SteadyConfig(nullptr, window_size));
     steady.mode = "dedicated-steady";
-    steady.workers = 1 + kGreedyTenants;  // One reasoning thread each.
+    steady.workers = 1 + kGreedyTenants;  // One private pool thread each.
     SettleGreedyTenants(&stop, &tenants);
     runs.push_back(std::move(steady));
     tenants.clear();

@@ -1,11 +1,11 @@
 // The traffic scenario on the staged asynchronous execution engine,
 // through the unified StreamEngine facade (async = true): ingestion and
-// windowing run on this thread while a pool of reasoning workers grounds
-// and solves earlier windows, and the ordered emitter still delivers one
-// EmissionEvent per window in strict window order.
+// windowing run on this thread while the engine's private reasoner pool
+// grounds and solves earlier windows, and collaborative ordered delivery
+// still hands one EmissionEvent per window over in strict window order.
 //
-//   ingest -> windower -> BoundedQueue -> ParallelReasoner workers
-//          -> ordered emitter -> EmissionEvents (in window order)
+//   ingest -> windower -> BoundedQueue -> pool tasks (ParallelReasoner)
+//          -> reorder buffer -> EmissionEvents (in window order)
 //
 // Usage: async_traffic_monitoring [window_size] [num_windows] [inflight]
 
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   WallTimer wall;
   for (size_t i = 0; i < num_windows; ++i) {
     // Push never waits for reasoning (until the in-flight bound bites):
-    // windows pile into the work queue while the workers chew.
+    // windows pile into the work queue while the pool threads chew.
     (*engine)->PushBatch(generator.GenerateWindow(window_size));
   }
   (*engine)->Flush();  // Drain every in-flight window.

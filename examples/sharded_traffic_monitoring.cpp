@@ -1,14 +1,14 @@
 // The traffic scenario on the sharded multi-pipeline engine, through the
 // unified StreamEngine facade (num_shards >= 1): the stream is
 // hash-partitioned by subject across several independent pipelines (each
-// with its own windower, work queue and reasoning workers), and the
+// with its own windower, work queue and reasoner pool), and the
 // ordered merge recombines per-shard answers so EmissionEvents still
 // arrive in strict global window order — byte-identical to a single
 // pipeline: subject sharding respects the traffic rules' dependencies,
 // and the router broadcasts P'-duplicated predicates (car_number) to
 // every shard so r7's cross-shard join survives hashing.
 //
-//   router (subject hash) -> N x [windower -> workers -> emitter]
+//   router (subject hash) -> N x [windower -> pool -> ordered drain]
 //                         -> ordered merge -> EmissionEvents
 //
 // Usage: sharded_traffic_monitoring [window_size] [num_windows] [shards]

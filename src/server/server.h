@@ -32,9 +32,9 @@ struct ServerConfig {
   /// reasoning runs on, scheduled by weighted deficit round-robin across
   /// per-session lanes (util/thread_pool.h). The default sizes the pool
   /// to the machine, making total reasoning threads O(hardware) instead
-  /// of O(sessions x workers). 0 disables pooling entirely — every async
-  /// session then spawns its own dedicated workers as before. Sync
-  /// sessions always reason on their pump thread, pool or not.
+  /// of O(sessions x workers). 0 disables sharing — every async
+  /// session's engine then owns a private pool. Sync sessions always
+  /// reason on their pump thread, pool or not.
   size_t shared_pool_threads = DefaultThreadCount();
 };
 

@@ -43,9 +43,9 @@ constexpr const char* SessionStateName(SessionState state) {
 /// One delivery of a session's ordered emission stream: the engine's
 /// EmissionEvent plus the session context a multi-tenant consumer needs
 /// to route and render it. Delivered from the session's engine thread
-/// (pump, emitter, or merge — one at a time, in strictly increasing
-/// session_sequence order); the handler must not call back into the
-/// session.
+/// (pump, drain-baton holder, or merge — one at a time, in strictly
+/// increasing session_sequence order); the handler must not call back
+/// into the session.
 struct SessionEvent {
   /// The session's name (stable for the session's lifetime).
   const std::string& session;
@@ -89,8 +89,8 @@ struct SessionOptions {
 
   /// DRR weight of this session on the server's shared reasoner pool
   /// (>= 1): its share of reasoning dispatch slots while contending with
-  /// other sessions. Ignored (but still validated) when the session runs
-  /// on dedicated threads instead of a shared pool.
+  /// other sessions. Ignored (but still validated) when the session's
+  /// engine runs on its own private pool instead of a shared one.
   size_t weight = 1;
 
   /// Cap on this session's concurrently reasoning windows on the shared
@@ -150,8 +150,8 @@ struct SessionStats {
 ///     O(pool + 1 event loop) threads instead of O(sessions).
 ///
 /// Thread-safety: Push/Flush/Close/stats from any thread, concurrently.
-/// The event handler must not call back into the session (the pump or
-/// emitter delivering it would deadlock on itself).
+/// The event handler must not call back into the session (the thread
+/// delivering it would deadlock on itself).
 class StreamSession {
  public:
   /// Parses the program, builds the engine, starts the pump. Fails on an

@@ -47,7 +47,7 @@ struct TcpServer::Connection {
   /// Sends one framed payload; after the first failure the connection
   /// goes write-dead (the loop notices EOF/reset and tears down). The
   /// socket is non-blocking, so a full send buffer (EAGAIN) briefly
-  /// parks this writer in poll(POLLOUT) — writers are session emitter
+  /// parks this writer in poll(POLLOUT) — writers are session delivery
   /// threads or the loop thread replying to a request, and the payloads
   /// are small, so the wait is bounded by the client draining.
   void SendFramed(const std::string& payload) {
@@ -69,7 +69,7 @@ struct TcpServer::Connection {
         writable.events = POLLOUT;
         if (::poll(&writable, 1, /*timeout_ms=*/1000) > 0) continue;
         // A client that drains nothing for a full second is treated as a
-        // slow-consumer failure rather than blocking the emitter forever.
+        // slow-consumer failure rather than blocking delivery forever.
         write_failed = true;
         return;
       }

@@ -55,7 +55,7 @@ void StreamQueryProcessor::Push(const Triple& triple) {
   }
   ++arrivals_since_emit_;
   // First window fires when the buffer first fills; afterwards every
-  // `slide_` arrivals (same cadence as SlidingCountWindower).
+  // `slide_` arrivals.
   if ((!emitted_once_ && buffer_.size() == window_size_) ||
       (emitted_once_ && arrivals_since_emit_ >= slide_)) {
     EmitSliding();

@@ -11,9 +11,8 @@ namespace streamasp {
 
 /// Columnar ring buffer backing a windower's (or the sharded router's)
 /// retained window: subject/predicate/object live in three dense
-/// structure-of-arrays columns of fixed-width slots, with optional
-/// timestamp and shard-assignment columns for the time windower and the
-/// router's global window. Eviction pops the logical front by bumping a
+/// structure-of-arrays columns of fixed-width slots, with an optional
+/// shard-assignment column for the router's global window. Eviction pops the logical front by bumping a
 /// head offset; storage is compacted in one memmove whenever dead slots
 /// outnumber live ones, so Append/PopFront stay amortized O(1) with no
 /// per-item allocation (the columns are trivially copyable slots, never
@@ -26,7 +25,6 @@ namespace streamasp {
 class WindowStore {
  public:
   struct Options {
-    bool with_timestamps = false;
     bool with_shards = false;
   };
 
@@ -36,11 +34,10 @@ class WindowStore {
   size_t size() const { return subjects_.size() - head_; }
   bool empty() const { return size() == 0; }
 
-  void Append(const Triple& t, int64_t timestamp_ms = 0, uint32_t shard = 0) {
+  void Append(const Triple& t, uint32_t shard = 0) {
     subjects_.push_back(t.subject);
     predicates_.push_back(t.predicate);
     objects_.push_back(t.object);
-    if (options_.with_timestamps) timestamps_.push_back(timestamp_ms);
     if (options_.with_shards) shards_.push_back(shard);
   }
 
@@ -50,7 +47,6 @@ class WindowStore {
     return Triple{subjects_[slot], predicates_[slot], objects_[slot]};
   }
   Triple Front() const { return At(0); }
-  int64_t TimestampAt(size_t i) const { return timestamps_[head_ + i]; }
   uint32_t ShardAt(size_t i) const { return shards_[head_ + i]; }
 
   void PopFront() {
@@ -63,7 +59,6 @@ class WindowStore {
     subjects_.clear();
     predicates_.clear();
     objects_.clear();
-    timestamps_.clear();
     shards_.clear();
   }
 
@@ -81,7 +76,6 @@ class WindowStore {
     return subjects_.capacity() * sizeof(PackedTerm) +
            predicates_.capacity() * sizeof(SymbolId) +
            objects_.capacity() * sizeof(PackedTerm) +
-           timestamps_.capacity() * sizeof(int64_t) +
            shards_.capacity() * sizeof(uint32_t);
   }
 
@@ -93,9 +87,6 @@ class WindowStore {
     subjects_.erase(subjects_.begin(), subjects_.begin() + head_);
     predicates_.erase(predicates_.begin(), predicates_.begin() + head_);
     objects_.erase(objects_.begin(), objects_.begin() + head_);
-    if (options_.with_timestamps) {
-      timestamps_.erase(timestamps_.begin(), timestamps_.begin() + head_);
-    }
     if (options_.with_shards) {
       shards_.erase(shards_.begin(), shards_.begin() + head_);
     }
@@ -107,7 +98,6 @@ class WindowStore {
   std::vector<PackedTerm> subjects_;
   std::vector<SymbolId> predicates_;
   std::vector<PackedTerm> objects_;
-  std::vector<int64_t> timestamps_;
   std::vector<uint32_t> shards_;
 };
 

@@ -51,9 +51,10 @@ struct EmissionEvent {
 };
 
 /// Single ordered emission callback. Same contract as the callback trio it
-/// replaces: runs on the caller thread (sync) or the engine's single
-/// emitter/merge thread (async/sharded), never concurrently with itself,
-/// and must not call back into Push/Flush on the emitting engine.
+/// replaces: runs on the caller thread (sync), the thread holding the
+/// pipeline's drain baton (async) or the merge thread (sharded), never
+/// concurrently with itself, and must not call back into Push/Flush on
+/// the emitting engine.
 using EmissionHandler = std::function<void(EmissionEvent&)>;
 
 }  // namespace streamasp

@@ -14,16 +14,9 @@ StatusOr<std::unique_ptr<StreamEngine>> StreamEngine::Create(
                                    std::move(handler)));
     return engine;
   }
-  ShardedPipelineOptions sharded;
-  sharded.num_shards = config.num_shards;
-  sharded.shard_key = std::move(config.shard_key);
-  sharded.router_batch_size = config.router_batch_size;
-  sharded.feeder_queue_capacity = config.feeder_queue_capacity;
-  sharded.merge_queue_capacity = config.merge_queue_capacity;
-  sharded.pipeline = std::move(config.pipeline);
   STREAMASP_ASSIGN_OR_RETURN(
       engine->sharded_,
-      ShardedPipelineEngine::Create(program, std::move(sharded),
+      ShardedPipelineEngine::Create(program, std::move(config),
                                     std::move(handler)));
   return engine;
 }

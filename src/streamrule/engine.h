@@ -5,43 +5,11 @@
 #include <vector>
 
 #include "streamrule/emission.h"
+#include "streamrule/engine_config.h"
 #include "streamrule/pipeline.h"
 #include "streamrule/sharded_pipeline.h"
 
 namespace streamasp {
-
-/// One validated configuration for every engine shape. The facade picks
-/// the run-time from it:
-///   * num_shards == 0 — a single StreamRulePipeline; pipeline.async
-///     selects the synchronous oracle loop or the staged async engine.
-///   * num_shards >= 1 — the ShardedPipelineEngine with that many shard
-///     pipelines (1 is a legitimate degenerate sharded engine: router +
-///     merge around one shard — distinct from num_shards == 0, which has
-///     neither).
-/// The sharded knobs below num_shards are ignored when it is 0.
-struct EngineConfig {
-  /// 0 = unsharded single pipeline; >= 1 = sharded engine.
-  size_t num_shards = 0;
-
-  /// Partition key (sharded only; see stream/shard_key.h). null uses
-  /// SubjectShardKey().
-  ShardKeyExtractor shard_key;
-
-  /// Router micro-batch size (sharded only).
-  size_t router_batch_size = 256;
-
-  /// Per-shard feeder queue capacity (sharded only).
-  size_t feeder_queue_capacity = 8;
-
-  /// Merge queue capacity; 0 picks max(8, 2 * num_shards) (sharded only).
-  size_t merge_queue_capacity = 0;
-
-  /// The per-pipeline configuration every shape shares: window geometry,
-  /// reuse flags, async staging, backpressure, admission filter,
-  /// reasoner options. Under sharding window_size/window_slide are
-  /// interpreted globally (see ShardedPipelineOptions::pipeline).
-  PipelineOptions pipeline;
-};
 
 /// One stats surface across every engine shape. `reasoning` aggregates
 /// the pipeline-level counters (the single pipeline's stats unsharded,
@@ -166,8 +134,8 @@ class StreamEngine {
   /// 0 when unsharded.
   size_t num_shards() const;
 
-  /// Reasoning worker threads across the engine (0 for the synchronous
-  /// oracle shape).
+  /// Private reasoner-pool threads across the engine (0 for the
+  /// synchronous oracle shape and for pipelines on an injected pool).
   size_t num_reason_workers() const;
 
   /// The underlying engine, for introspection (plan, decomposition info,

@@ -92,17 +92,17 @@ struct ParallelReasonerResult {
 /// whole windows on an internal mutex: the per-partition incremental
 /// grounders are stateful, and interleaving two windows through one cache
 /// would corrupt its window-to-window diff. (The async and sharded
-/// engines give every worker its own ParallelReasoner, so the mutex is
-/// uncontended there.)
+/// engines give every running window its own ParallelReasoner slot, so
+/// the mutex is uncontended there.)
 ///
 /// Nesting constraint (see util/thread_pool.h): Process blocks on futures
 /// of tasks submitted to the instance's OWN pool. Never call Process from
 /// a task running on that same pool — with every pool worker blocked in
 /// such a call, the partition tasks that would unblock them can never be
 /// scheduled. Callers that fan out windows across threads (the async
-/// engine's reasoning workers, the sharded engine's shards) therefore give
-/// each worker its own ParallelReasoner, so every wait targets the pool
-/// one level below the waiter. With num_threads == 1 there is no inner
+/// engine's pool tasks, the sharded engine's shards) therefore give each
+/// concurrent window its own ParallelReasoner, so every wait targets the
+/// pool one level below the waiter. With num_threads == 1 there is no inner
 /// pool at all (partitions run inline on the caller), which is how
 /// reasoners hosted on SharedReasonerPool workers satisfy the constraint
 /// trivially.

@@ -155,104 +155,65 @@ StreamRulePipeline::StreamRulePipeline(const Program* program,
 
 StreamRulePipeline::~StreamRulePipeline() {
   if (!options_.async) return;
-  if (pool_queue_ != nullptr) {
-    // Shared-pool drain: stop admission, then wait until every task of
-    // this pipeline's lane has run. One task was submitted per admitted
-    // window, so an empty lane means the work queue is empty and every
-    // admitted sequence was reasoned or shed — and the last finisher's
-    // DrainCompleted delivered the reorder buffer. The trailing call is
-    // for the degenerate no-task case (only tombstones were ever parked,
-    // by a caller that has since returned).
-    work_queue_->Close();
-    pool_queue_->Drain();
-    DrainCompleted();
-    return;
-  }
-  // Drain: stop admission, let the workers finish every admitted window,
-  // then let the emitter deliver whatever is parked in the reorder buffer.
+  // Drain: stop admission, then wait until every task of this pipeline's
+  // lane has run. One task was submitted per admitted window, so an empty
+  // lane means the work queue is empty and every admitted sequence was
+  // reasoned or shed — and the last finisher's DrainCompleted delivered
+  // the reorder buffer. The trailing call is for the degenerate no-task
+  // case (only tombstones were ever parked, by a caller that has since
+  // returned). The drained lane satisfies the private pool's destruction
+  // contract; the pool joins its threads after this body.
   work_queue_->Close();
-  for (std::thread& worker : workers_) worker.join();
-  {
-    std::lock_guard<std::mutex> lock(emit_mutex_);
-    shutdown_ = true;
-  }
-  emit_cv_.notify_all();
-  emitter_.join();
+  pool_queue_->Drain();
+  DrainCompleted();
 }
 
-void StreamRulePipeline::StartSharedPoolEngine() {
+void StreamRulePipeline::StartAsyncEngine() {
   work_queue_ = std::make_unique<BoundedQueue<TripleWindow>>(
       options_.max_inflight_windows, options_.backpressure);
+  ParallelReasonerOptions reasoner_options = options_.reasoner;
   if (options_.shared_queue != nullptr) {
     pool_queue_ = options_.shared_queue;
   } else {
+    SharedReasonerPool* pool = options_.shared_pool.get();
+    if (pool == nullptr) {
+      // Standalone pipeline: own a private pool of num_reason_workers
+      // threads. Each slot's reasoner gets its share of the machine for
+      // its inner pool; a pool worker waiting on that *different* pool is
+      // safe (util/thread_pool.h).
+      size_t threads = options_.num_reason_workers;
+      if (threads == 0) {
+        threads = std::min<size_t>(options_.max_inflight_windows,
+                                   DefaultThreadCount());
+      }
+      threads = std::max<size_t>(threads, 1);
+      private_pool_ = std::make_unique<SharedReasonerPool>(threads);
+      pool = private_pool_.get();
+      if (reasoner_options.num_threads == 0) {
+        reasoner_options.num_threads =
+            std::max<size_t>(1, DefaultThreadCount() / threads);
+      }
+    }
     size_t cap = options_.pool_max_inflight;
     if (cap == 0) {
       cap = std::min<size_t>(options_.max_inflight_windows,
-                             options_.shared_pool->num_threads());
+                             pool->num_threads());
     }
-    pool_queue_ = options_.shared_pool->CreateQueue(options_.pool_weight,
-                                                    std::max<size_t>(cap, 1));
+    pool_queue_ =
+        pool->CreateQueue(options_.pool_weight, std::max<size_t>(cap, 1));
   }
   // Reasoner slots instead of worker threads: pool tasks check one out
-  // per window. Default the inner thread count to 1 (inline mode) — a
-  // pool worker reasoning inline never waits on any pool, which is what
-  // keeps pool-hosted reasoning deadlock-free and the thread budget
-  // O(pool) instead of O(sessions x inner threads). An explicit
-  // reasoner.num_threads still wins (waiting on a *different* pool is
-  // safe, just oversubscribed).
-  ParallelReasonerOptions reasoner_options = options_.reasoner;
+  // per window. On an injected pool default the inner thread count to 1
+  // (inline mode) — a pool worker reasoning inline never waits on any
+  // pool, which keeps the thread budget O(pool) instead of O(sessions x
+  // inner threads). An explicit reasoner.num_threads still wins (waiting
+  // on a *different* pool is safe, just oversubscribed).
   if (reasoner_options.num_threads == 0) reasoner_options.num_threads = 1;
   const size_t slots = pool_queue_->max_inflight();
   free_slots_.reserve(slots);
   for (size_t i = 0; i < slots; ++i) {
     free_slots_.push_back(std::make_unique<ParallelReasoner>(
         program_, plan_, reasoner_options));
-  }
-}
-
-void StreamRulePipeline::StartAsyncEngine() {
-  if (options_.shared_pool != nullptr || options_.shared_queue != nullptr) {
-    StartSharedPoolEngine();
-    return;
-  }
-  size_t num_workers = options_.num_reason_workers;
-  if (num_workers == 0) {
-    num_workers = std::min<size_t>(options_.max_inflight_windows,
-                                   DefaultThreadCount());
-  }
-  num_workers = std::max<size_t>(num_workers, 1);
-
-  work_queue_ = std::make_unique<BoundedQueue<TripleWindow>>(
-      options_.max_inflight_windows, options_.backpressure);
-  // Per-worker reasoner state: each worker waits only on its own
-  // reasoner's inner pool, one level down — see the ThreadPool nesting
-  // constraint. Split the default thread budget across the workers so N
-  // workers don't each spawn hardware_concurrency inner threads.
-  ParallelReasonerOptions reasoner_options = options_.reasoner;
-  if (reasoner_options.num_threads == 0) {
-    reasoner_options.num_threads =
-        std::max<size_t>(1, DefaultThreadCount() / num_workers);
-  }
-  worker_reasoners_.reserve(num_workers);
-  for (size_t i = 0; i < num_workers; ++i) {
-    worker_reasoners_.push_back(std::make_unique<ParallelReasoner>(
-        program_, plan_, reasoner_options));
-  }
-  workers_.reserve(num_workers);
-  try {
-    for (size_t i = 0; i < num_workers; ++i) {
-      workers_.emplace_back([this, i] { ReasonWorkerLoop(i); });
-    }
-    emitter_ = std::thread([this] { EmitterLoop(); });
-  } catch (...) {
-    // Thread spawn failed (e.g. resource exhaustion) mid-startup: unwind
-    // the already-running workers so destroying joinable std::threads
-    // doesn't terminate the process.
-    work_queue_->Close();
-    for (std::thread& worker : workers_) worker.join();
-    workers_.clear();
-    throw;
   }
 }
 
@@ -306,8 +267,8 @@ void StreamRulePipeline::EnqueueWindow(TripleWindow window) {
   TripleWindow displaced;
   const QueuePushResult pushed =
       work_queue_->Push(std::move(window), &displaced);
-  if (pool_queue_ != nullptr && (pushed == QueuePushResult::kOk ||
-                                 pushed == QueuePushResult::kDroppedOldest)) {
+  if (pushed == QueuePushResult::kOk ||
+      pushed == QueuePushResult::kDroppedOldest) {
     // One unit-cost task per admitted window. Counting both outcomes
     // keeps the conservation invariant simple — outstanding tasks >=
     // queued windows at all times — at the cost of an occasional surplus
@@ -321,7 +282,7 @@ void StreamRulePipeline::EnqueueWindow(TripleWindow window) {
     case QueuePushResult::kDroppedOldest:
       // The evicted window was admitted earlier: its tombstone releases
       // the sequence slot it would otherwise leave gaping (ShedWindow
-      // parks it in the reorder buffer and wakes the emitter, which may
+      // parks it in the reorder buffer and drains, since delivery may
       // have been waiting on exactly this sequence).
       ShedWindow(std::move(displaced), /*evicted=*/true);
       break;
@@ -338,7 +299,6 @@ void StreamRulePipeline::EnqueueWindow(TripleWindow window) {
         std::lock_guard<std::mutex> lock(emit_mutex_);
         inflight_.erase(sequence);
       }
-      emit_cv_.notify_all();
       std::lock_guard<std::mutex> lock(stats_mutex_);
       --stats_.enqueued_windows;
       break;
@@ -379,13 +339,9 @@ void StreamRulePipeline::ShedWindow(TripleWindow window, bool evicted) {
     tombstone.window = std::move(window);
     completed_.emplace(sequence, std::move(tombstone));
   }
-  emit_cv_.notify_all();
-  if (pool_queue_ != nullptr) {
-    // No emitter thread in shared-pool mode: the shedding caller itself
-    // drives delivery, which also covers the tombstone-only tail (a shed
-    // with no pool task left to drain after it).
-    DrainCompleted();
-  }
+  // The shedding caller itself drives delivery, which also covers the
+  // tombstone-only tail (a shed with no pool task left to drain after it).
+  DrainCompleted();
 }
 
 void StreamRulePipeline::DeliverShed(TripleWindow& window) {
@@ -417,41 +373,6 @@ void StreamRulePipeline::ProcessWindowSync(TripleWindow& window) {
   DeliverResult(window, result);
 }
 
-void StreamRulePipeline::ReasonWorkerLoop(size_t worker_index) {
-  ParallelReasoner& reasoner = *worker_reasoners_[worker_index];
-  TripleWindow window;
-  while (work_queue_->Pop(&window)) {
-    CompletedWindow done;
-    // An exception escaping a worker thread would std::terminate the
-    // process; convert to the same error path a failed Status takes (sync
-    // mode lets it propagate to the Push caller instead).
-    try {
-      done.result = reasoner.Process(window);
-    } catch (const std::exception& e) {
-      done.result = InternalError(
-          std::string("reasoning worker exception: ") + e.what());
-    } catch (...) {
-      done.result = InternalError("reasoning worker exception");
-    }
-    const uint64_t sequence = window.sequence;
-    done.window = std::move(window);
-    size_t reorder_depth = 0;
-    {
-      std::lock_guard<std::mutex> lock(emit_mutex_);
-      completed_.emplace(sequence, std::move(done));
-      inflight_.erase(sequence);
-      reorder_depth = completed_.size();
-    }
-    emit_cv_.notify_all();
-    {
-      // Outside emit_mutex_: keep the emit→stats lock order flat.
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      stats_.max_reorder_depth =
-          std::max(stats_.max_reorder_depth, reorder_depth);
-    }
-  }
-}
-
 void StreamRulePipeline::PoolTask() {
   std::optional<TripleWindow> popped = work_queue_->TryPop();
   if (!popped.has_value()) {
@@ -470,8 +391,9 @@ void StreamRulePipeline::PoolTask() {
     free_slots_.pop_back();
   }
   CompletedWindow done;
-  // Same conversion as ReasonWorkerLoop: an exception escaping a pool
-  // task would terminate the process.
+  // An exception escaping a pool task would terminate the process;
+  // convert it to the same error path a failed Status takes (sync mode
+  // lets it propagate to the Push caller instead).
   try {
     done.result = reasoner->Process(window);
   } catch (const std::exception& e) {
@@ -515,6 +437,9 @@ void StreamRulePipeline::DrainCompleted() {
     auto first = completed_.begin();
     CompletedWindow done = std::move(first->second);
     completed_.erase(first);
+    // Keep the window counted as undelivered while the callback runs, or
+    // Flush could observe empty inflight_/completed_ and return before
+    // the delivery it is waiting for has happened.
     ++delivering_;
     lock.unlock();
     try {
@@ -524,6 +449,8 @@ void StreamRulePipeline::DrainCompleted() {
         DeliverResult(done.window, done.result);
       }
     } catch (const std::exception& e) {
+      // A throwing callback must not unwind a pool worker; count it like
+      // a reasoning error and keep the stream moving.
       {
         std::lock_guard<std::mutex> stats_lock(stats_mutex_);
         ++stats_.errors;
@@ -554,55 +481,6 @@ bool StreamRulePipeline::CanEmitLocked() const {
   // nothing below min(inflight_) can still appear.
   return inflight_.empty() ||
          completed_.begin()->first < *inflight_.begin();
-}
-
-void StreamRulePipeline::EmitterLoop() {
-  std::unique_lock<std::mutex> lock(emit_mutex_);
-  for (;;) {
-    emit_cv_.wait(lock, [this] { return shutdown_ || CanEmitLocked(); });
-    // After shutdown the workers have joined: nothing with a smaller
-    // sequence can arrive any more, so drain the buffer unconditionally
-    // (still in sequence order — completed_ is an ordered map).
-    while (!completed_.empty() && (CanEmitLocked() || shutdown_)) {
-      auto first = completed_.begin();
-      CompletedWindow done = std::move(first->second);
-      completed_.erase(first);
-      // Keep the window counted as undelivered while the callback runs, or
-      // Flush could observe empty inflight_/completed_ and return before
-      // the delivery it is waiting for has happened.
-      ++delivering_;
-      lock.unlock();
-      try {
-        if (done.shed) {
-          DeliverShed(done.window);
-        } else {
-          DeliverResult(done.window, done.result);
-        }
-      } catch (const std::exception& e) {
-        // A throwing ResultCallback would terminate the emitter thread;
-        // count it like a reasoning error and keep the stream moving.
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-          ++stats_.errors;
-        }
-        STREAMASP_LOG(kError) << "window " << done.window.sequence
-                              << ": delivery callback threw: " << e.what();
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-          ++stats_.errors;
-        }
-        STREAMASP_LOG(kError) << "window " << done.window.sequence
-                              << ": delivery callback threw";
-      }
-      lock.lock();
-      --delivering_;
-    }
-    if (inflight_.empty() && completed_.empty() && delivering_ == 0) {
-      drained_cv_.notify_all();
-      if (shutdown_) return;
-    }
-  }
 }
 
 void StreamRulePipeline::DeliverResult(

@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "depgraph/decomposition.h"
@@ -44,7 +43,7 @@ struct PipelineOptions {
   /// incremental shape as internally slid windows.
   bool external_delta_punctuation = false;
 
-  /// Reuse grounding across overlapping windows: each reasoning worker
+  /// Reuse grounding across overlapping windows: each reasoner slot
   /// keeps a per-partition IncrementalGrounder that retracts the rule
   /// instances of expired facts and grounds only what admitted facts
   /// enable, falling back to full re-grounding on oversized deltas (see
@@ -53,7 +52,7 @@ struct PipelineOptions {
   /// reasoner.reasoner.reuse_grounding — Create ORs the two.
   bool reuse_grounding = false;
 
-  /// Reuse solving across overlapping windows: each reasoning worker
+  /// Reuse solving across overlapping windows: each reasoner slot
   /// pairs its per-partition incremental grounders with persistent
   /// IncrementalSolvers that patch the previous window's search
   /// structures with the grounder's rule delta (and warm-start the
@@ -70,34 +69,34 @@ struct PipelineOptions {
   bool disable_partitioning = false;
 
   /// Run the staged asynchronous engine: ingest/windowing on the caller
-  /// thread, reasoning on a pool of workers with several windows in
-  /// flight, answers delivered by an ordered emitter. false keeps the
-  /// fully synchronous one-window-at-a-time loop (the differential-testing
-  /// oracle for the async path).
+  /// thread, reasoning as tasks on a SharedReasonerPool with several
+  /// windows in flight, answers delivered in sequence order by whichever
+  /// thread holds the drain baton. false keeps the fully synchronous
+  /// one-window-at-a-time loop (the differential-testing oracle for the
+  /// async path).
   bool async = false;
 
   /// Capacity of the window work queue between the windower and the
-  /// reasoning workers (async only). Together with the workers this bounds
-  /// how many windows are in flight at once. Must be >= 1.
+  /// reasoning tasks (async only). Together with the lane's inflight cap
+  /// this bounds how many windows are in flight at once. Must be >= 1.
   size_t max_inflight_windows = 4;
 
-  /// Reasoning worker threads (async only); each owns a full
-  /// ParallelReasoner. 0 picks min(max_inflight_windows,
+  /// Reasoning threads a standalone async pipeline owns: the size of its
+  /// private SharedReasonerPool. 0 picks min(max_inflight_windows,
   /// hardware_concurrency). Ignored when shared_pool/shared_queue is set
-  /// — pooled pipelines spawn no workers of their own.
+  /// — pipelines on an injected pool own no threads of their own.
   size_t num_reason_workers = 0;
 
-  /// Process-wide shared reasoning executor (async only). When set, the
-  /// pipeline spawns NO reasoning workers and NO emitter thread: every
-  /// admitted window becomes one unit-cost task on the pipeline's DRR
-  /// lane of this pool, reasoned inline on a pool worker (the reasoner's
-  /// inner pool collapses to inline mode), and ordered delivery is
-  /// collaborative — whichever task (or shedding caller) completes next
-  /// drains the reorder buffer. The emission contract is unchanged: one
+  /// Process-wide shared reasoning executor (async only). Null gives the
+  /// pipeline a private pool of num_reason_workers threads; either way
+  /// every admitted window becomes one unit-cost task on the pipeline's
+  /// DRR lane, and ordered delivery is collaborative — whichever task (or
+  /// shedding caller) completes next drains the reorder buffer. On an
+  /// injected pool an unset reasoner.num_threads collapses to inline mode
+  /// (1); on a private pool it splits hardware_concurrency across the
+  /// pool threads. The emission contract is the same for both: one
   /// thread at a time, strictly increasing sequence order, byte-identical
-  /// output under kBlock. Backpressure, shedding, admission filtering and
-  /// every PipelineStats counter behave exactly as in dedicated-worker
-  /// async mode. The pool must outlive the pipeline (holding the
+  /// output under kBlock. The pool must outlive the pipeline (holding the
   /// shared_ptr here guarantees it).
   std::shared_ptr<SharedReasonerPool> shared_pool;
 
@@ -105,10 +104,10 @@ struct PipelineOptions {
   /// of dispatch slots it receives while contending with other lanes.
   size_t pool_weight = 1;
 
-  /// Cap on this pipeline's concurrently reasoning windows on the shared
-  /// pool. 0 picks min(max_inflight_windows, pool threads). Also sizes
-  /// the pipeline's reasoner-slot set — the cap guarantees a free slot
-  /// for every running task.
+  /// Cap on this pipeline's concurrently reasoning windows on its pool
+  /// (shared or private). 0 picks min(max_inflight_windows, pool
+  /// threads). Also sizes the pipeline's reasoner-slot set — the cap
+  /// guarantees a free slot for every running task.
   size_t pool_max_inflight = 0;
 
   /// Per-session window quota, enforced at the ingest boundary like the
@@ -171,7 +170,7 @@ struct PipelineStats {
   uint64_t rejected_windows = 0;  ///< Refused by kReject backpressure or
                                   ///< the admission filter.
   size_t max_queue_depth = 0;     ///< Work-queue high-water mark.
-  size_t max_reorder_depth = 0;   ///< Ordered-emitter buffer high-water mark.
+  size_t max_reorder_depth = 0;   ///< Reorder-buffer high-water mark.
 
   // --- graceful-degradation accounting (streamrule/accuracy.h) ---
   uint64_t shed_items = 0;  ///< Items in shed (dropped/rejected) windows.
@@ -263,13 +262,15 @@ struct PipelineStats {
 ///                                               ▼
 ///                        BoundedQueue<TripleWindow> (backpressure)
 ///                                               ▼
-///   worker threads: ParallelReasoner #1..#N (one window each, several
-///                                            windows in flight)
+///   pool workers:   one task per window on this pipeline's DRR lane of
+///                   a SharedReasonerPool (private unless injected), each
+///                   reasoning on a checked-out ParallelReasoner slot
 ///                                               ▼
-///   emitter thread: reorder buffer keyed by window sequence →
-///                   ResultCallback strictly in window order
+///   drain baton:    reorder buffer keyed by window sequence → handler
+///                   strictly in window order, run by whichever pool
+///                   worker or shedding caller holds the baton
 ///
-/// The callback is always invoked from exactly one thread at a time and
+/// The handler is always invoked from exactly one thread at a time and
 /// strictly in window-sequence order, even when windows complete out of
 /// order. With the lossless kBlock policy the observable output is
 /// byte-identical to async=false.
@@ -281,10 +282,12 @@ struct PipelineStats {
 ///   * stats() and the simple accessors are safe from any thread, at any
 ///     time, including while the async engine is mid-window.
 ///   * The result (and error) callback runs on the caller thread in sync
-///     mode and on the single emitter thread in async mode — never on two
-///     threads at once, always in strictly increasing sequence order.
+///     mode; in async mode it runs on whichever thread holds the drain
+///     baton — a pool worker, or a caller shedding a window inside Push —
+///     never on two threads at once, always in strictly increasing
+///     sequence order.
 ///   * Callbacks must not call back into Push/Flush on the same pipeline
-///     (the emitter would deadlock waiting for itself).
+///     (Flush would wait for the very delivery that is calling it).
 class StreamRulePipeline {
  public:
   /// Legacy adapter surface. The primary emission surface is the single
@@ -352,7 +355,7 @@ class StreamRulePipeline {
       ShedCallback shed_callback = nullptr);
 
   /// Drains every admitted window (without flushing a partial one), then
-  /// stops the engine threads.
+  /// stops the private pool's threads (if any).
   ~StreamRulePipeline();
 
   StreamRulePipeline(const StreamRulePipeline&) = delete;
@@ -395,14 +398,16 @@ class StreamRulePipeline {
   const PartitioningPlan& plan() const { return plan_; }
   const DecompositionInfo& decomposition_info() const { return info_; }
 
-  /// Reasoning workers actually running (0 in sync mode, and 0 in
-  /// shared-pool mode — pooled pipelines own no reasoning threads; see
+  /// Threads of the pipeline's private reasoner pool (0 in sync mode, and
+  /// 0 on an injected pool — such pipelines own no reasoning threads; see
   /// pool_queue() for their execution lane).
-  size_t num_reason_workers() const { return workers_.size(); }
+  size_t num_reason_workers() const {
+    return private_pool_ == nullptr ? 0 : private_pool_->num_threads();
+  }
 
-  /// The pipeline's lane on the shared reasoner pool (null outside
-  /// shared-pool mode). Exposes the lane's weight, inflight cap and
-  /// task counters for tests and the session server's stats surface.
+  /// The pipeline's lane on its reasoner pool (null in sync mode).
+  /// Exposes the lane's weight, inflight cap and task counters for tests
+  /// and the session server's stats surface.
   const std::shared_ptr<SharedReasonerPool::Queue>& pool_queue() const {
     return pool_queue_;
   }
@@ -428,16 +433,15 @@ class StreamRulePipeline {
                      PartitioningPlan plan, DecompositionInfo info,
                      EmissionHandler handler, bool has_error_channel);
 
+  /// Builds the private pool when none is injected, then the DRR lane
+  /// (or adopts options_.shared_queue) and the reasoner slots.
   void StartAsyncEngine();
-  /// Shared-pool variant of StartAsyncEngine: build (or adopt) the DRR
-  /// lane and the reasoner slots instead of spawning worker threads.
-  void StartSharedPoolEngine();
   /// One admitted window's unit of work on the shared pool: TryPop a
   /// window from the work queue (a miss means an eviction consumed it —
   /// benign surplus), reason it on a checked-out slot, park the outcome
   /// in the reorder buffer, then collaborate on ordered delivery.
   void PoolTask();
-  /// Emitter-less ordered delivery: whoever calls first (a finishing pool
+  /// Ordered delivery: whoever calls first (a finishing pool
   /// task, a shedding caller) takes the drain baton and delivers every
   /// deliverable window in sequence order; concurrent callers see the
   /// baton held and return — the holder's re-check after each delivery
@@ -447,8 +451,6 @@ class StreamRulePipeline {
   void EnqueueWindow(TripleWindow window);
   /// The synchronous oracle path: reason + emit on the caller thread.
   void ProcessWindowSync(TripleWindow& window);
-  void ReasonWorkerLoop(size_t worker_index);
-  void EmitterLoop();
   /// Records stats and invokes the callback for one reasoned window (the
   /// callback may gut `window`, which the caller is about to discard).
   void DeliverResult(TripleWindow& window,
@@ -485,13 +487,12 @@ class StreamRulePipeline {
 
   // --- async engine state (untouched in sync mode) ---
   std::unique_ptr<BoundedQueue<TripleWindow>> work_queue_;
-  std::vector<std::unique_ptr<ParallelReasoner>> worker_reasoners_;
-  std::vector<std::thread> workers_;
-  std::thread emitter_;
-
-  // --- shared-pool engine state (null/empty outside shared-pool mode) ---
-  /// This pipeline's DRR lane (created from options_.shared_pool, or
-  /// adopted from options_.shared_queue in the sharded engine).
+  /// The pool a standalone pipeline owns (null when one is injected).
+  /// Declared before the lane and the slots so it outlives both; the
+  /// destructor drains the lane before the pool joins its threads.
+  std::unique_ptr<SharedReasonerPool> private_pool_;
+  /// This pipeline's DRR lane (created on the private or injected pool,
+  /// or adopted from options_.shared_queue in the sharded engine).
   std::shared_ptr<SharedReasonerPool::Queue> pool_queue_;
   /// Checked-in reasoner slots. Sized to the lane's inflight cap: at most
   /// that many of the lane's tasks run concurrently (engine-wide when the
@@ -504,12 +505,10 @@ class StreamRulePipeline {
   bool draining_ = false;
 
   std::mutex emit_mutex_;
-  std::condition_variable emit_cv_;     ///< Wakes the emitter.
   std::condition_variable drained_cv_;  ///< Wakes Flush waiters.
   std::map<uint64_t, CompletedWindow> completed_;  ///< Reorder buffer.
   std::set<uint64_t> inflight_;  ///< Admitted, not yet reasoned.
-  size_t delivering_ = 0;  ///< Windows mid-callback on the emitter.
-  bool shutdown_ = false;
+  size_t delivering_ = 0;  ///< Windows mid-callback under the baton.
 };
 
 }  // namespace streamasp

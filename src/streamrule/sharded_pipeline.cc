@@ -16,7 +16,7 @@
 namespace streamasp {
 
 StatusOr<std::unique_ptr<ShardedPipelineEngine>> ShardedPipelineEngine::Create(
-    const Program* program, ShardedPipelineOptions options,
+    const Program* program, EngineConfig options,
     EmissionHandler handler) {
   if (program == nullptr) {
     return InvalidArgumentError("program must not be null");
@@ -40,7 +40,7 @@ StatusOr<std::unique_ptr<ShardedPipelineEngine>> ShardedPipelineEngine::Create(
 }
 
 StatusOr<std::unique_ptr<ShardedPipelineEngine>> ShardedPipelineEngine::Create(
-    const Program* program, ShardedPipelineOptions options,
+    const Program* program, EngineConfig options,
     ResultCallback callback) {
   if (callback == nullptr) {
     return InvalidArgumentError("result callback must not be null");
@@ -55,7 +55,7 @@ StatusOr<std::unique_ptr<ShardedPipelineEngine>> ShardedPipelineEngine::Create(
 }
 
 ShardedPipelineEngine::ShardedPipelineEngine(const Program* program,
-                                             ShardedPipelineOptions options,
+                                             EngineConfig options,
                                              EmissionHandler handler)
     : program_(program),
       options_(std::move(options)),
@@ -102,7 +102,7 @@ Status ShardedPipelineEngine::StartShards() {
     // govern the whole engine rather than multiplying by num_shards.
     // Each shard still sizes its own reasoner slots to the lane's cap
     // (its concurrent tasks are a subset of the lane's). No per-shard
-    // thread budgeting: pooled pipelines spawn no reasoning threads, and
+    // thread budgeting: pipelines on an injected pool own no threads, and
     // reasoner.num_threads left at 0 resolves to inline mode inside the
     // pipeline.
     size_t cap = inner.pool_max_inflight;
@@ -268,7 +268,7 @@ void ShardedPipelineEngine::Route(const Triple& triple) {
   // window content is ownership-based) but its admission, slice
   // presence and eventual eviction touch every shard, mirroring the
   // replica copies in their batch streams.
-  global_window_.Append(triple, /*timestamp_ms=*/0,
+  global_window_.Append(triple,
                         broadcast ? kBroadcastShard
                                   : static_cast<uint32_t>(shard));
   pending_admitted_[shard].push_back(triple);
@@ -449,7 +449,7 @@ void ShardedPipelineEngine::OnShardDelivery(
     StatusOr<ParallelReasonerResult> result) {
   MergeItem item;
   {
-    // Shard emitters deliver in local window order, so the front of the
+    // Shard pipelines deliver in local window order, so the front of the
     // FIFO is this sub-window's global sequence.
     std::lock_guard<std::mutex> lock(mapping_mutex_);
     item.global_sequence = global_sequence_of_[shard].front();

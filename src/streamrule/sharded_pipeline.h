@@ -16,86 +16,11 @@
 
 #include "stream/shard_key.h"
 #include "stream/window_store.h"
+#include "streamrule/engine_config.h"
 #include "streamrule/pipeline.h"
 #include "util/bounded_queue.h"
 
 namespace streamasp {
-
-/// Configuration of the sharded multi-pipeline engine.
-struct ShardedPipelineOptions {
-  /// Number of independent shard pipelines. Each shard owns a full
-  /// StreamRulePipeline (windower + reasoner machinery) plus one feeder
-  /// thread, so the stream is windowed on num_shards threads instead of
-  /// one.
-  size_t num_shards = 2;
-
-  /// Partition key (see stream/shard_key.h). null uses SubjectShardKey().
-  /// Answers are shard-count-invariant only when the key respects the
-  /// program's input dependencies — subject keys for subject-local
-  /// programs, CommunityShardKey(plan) for community-partitioned ones.
-  /// The router helps the key out with the paper's duplication device:
-  /// items of a *duplicated* predicate (one whose ground atoms several
-  /// dependency communities need, PartitioningPlan::DuplicatedPredicates)
-  /// are broadcast to every shard, so rules that join a duplicated
-  /// predicate against facts living on another shard do not silently
-  /// lose the join. The key still decides the item's *owning* shard,
-  /// which is the copy global window accounting and the merged window
-  /// count — replicas are pure reasoning context.
-  ShardKeyExtractor shard_key;
-
-  /// Items buffered per shard before the router hands them to the shard's
-  /// feeder as one batch (amortizes queue crossings). Global window
-  /// boundaries always cut a batch regardless of fill.
-  size_t router_batch_size = 256;
-
-  /// Capacity of each shard's feeder command queue (batches + punctuation
-  /// in flight between the router and that shard). Always lossless
-  /// (kBlock): a full feeder queue backpressures the router.
-  size_t feeder_queue_capacity = 8;
-
-  /// Capacity of the merge queue between shard emitters and the merge
-  /// thread. 0 picks max(8, 2 * num_shards).
-  size_t merge_queue_capacity = 0;
-
-  /// Per-shard pipeline configuration. window_size and window_slide are
-  /// interpreted globally: a window boundary falls after every
-  /// window_size-th (then every window_slide-th) routed item *across all
-  /// shards*, and each shard reasons its slice of that global window.
-  ///
-  /// Load shedding is supported: lossy backpressure (kDropOldest /
-  /// kReject — async shards only, sync pipelines have no work queue to
-  /// shed from) and pipeline.admission_filter both work under sharding,
-  /// including with sliding global windows. A shed sub-window surfaces
-  /// as a tombstone in the shard's ordered emission stream
-  /// (StreamRulePipeline::ShedCallback), so the merge releases its slot
-  /// instead of stalling; the merged window is delivered with
-  /// completeness < 1 (see ShardedPipelineStats and
-  /// ParallelReasonerResult::completeness). Synchronously shed sliding
-  /// sub-windows fold their delta into the shard's next emission
-  /// (StreamQueryProcessor::FoldShedDelta), mirroring the router's
-  /// skipped-empty-slice folding, so incremental reuse stays exact
-  /// across the gap.
-  ///
-  /// window_slide in (0, window_size) selects *sliding global windows*:
-  /// the router retains the global window's contents and, at each
-  /// boundary, punctuates every shard holding a non-empty slice with its
-  /// routed split of the global expired/admitted delta
-  /// (StreamRulePipeline::CloseWindow(WindowDelta)). Routing is per-item
-  /// and pure, so the per-shard deltas compose back to exactly the
-  /// global delta (duplicated-predicate items appear in every shard's
-  /// delta — admitted and expired alike — matching their broadcast) and
-  /// the merged answers stay byte-identical to the unsharded sliding
-  /// oracle. reuse_grounding / reuse_solving therefore
-  /// keep their full delta-sized per-window cost under sharding: each
-  /// shard's incremental grounders retract/replay only its slice of the
-  /// slide, and the paired persistent solvers patch instead of
-  /// re-ingesting. With tumbling global windows (slide 0 or ==
-  /// window_size) the sub-windows share no content, so the caches fall
-  /// back every window — correct but not faster. Thread-count fields
-  /// left at 0 are budgeted across shards (hardware threads / num_shards
-  /// each) rather than per pipeline.
-  PipelineOptions pipeline;
-};
 
 /// Statistics of the sharded engine: the per-shard PipelineStats, their
 /// aggregate, and the router/merge counters. Snapshots are returned by
@@ -168,7 +93,7 @@ struct ShardedPipelineStats {
 ///        │ per-shard BoundedQueue<ShardCommand> (batches + punctuation)
 ///        ▼
 ///   feeder threads: shard pipeline Push / CloseWindow   × num_shards
-///        │ each shard: windower ─► workers ─► ordered emitter
+///        │ each shard: windower ─► pool tasks ─► ordered drain
 ///        ▼
 ///   merge thread:   BoundedQueue<MergeItem> ─► reorder by global window
 ///                   ─► combine shard answers ─► ResultCallback
@@ -238,14 +163,14 @@ class ShardedPipelineEngine {
   /// the shared validator rejects (zero shards, lossy backpressure on
   /// synchronous shard pipelines — see streamrule/validate.h).
   static StatusOr<std::unique_ptr<ShardedPipelineEngine>> Create(
-      const Program* program, ShardedPipelineOptions options,
+      const Program* program, EngineConfig options,
       EmissionHandler handler);
 
   /// Result-callback adapter over the handler surface: kError events are
   /// logged + counted only (merge_errors), exactly the pre-handler
   /// behavior.
   static StatusOr<std::unique_ptr<ShardedPipelineEngine>> Create(
-      const Program* program, ShardedPipelineOptions options,
+      const Program* program, EngineConfig options,
       ResultCallback callback);
 
   /// Drains every admitted global window (without flushing a partial
@@ -308,7 +233,7 @@ class ShardedPipelineEngine {
   };
 
   ShardedPipelineEngine(const Program* program,
-                        ShardedPipelineOptions options,
+                        EngineConfig options,
                         EmissionHandler handler);
 
   Status StartShards();
@@ -333,7 +258,7 @@ class ShardedPipelineEngine {
   void DispatchBatch(size_t shard, bool close_window,
                      std::optional<WindowDelta> delta = std::nullopt);
   void FeederLoop(size_t shard);
-  /// Shard emitter callbacks funnel here (success and error alike); the
+  /// Shard deliveries funnel here (success and error alike); the
   /// sub-window's items are stolen, not copied (see ResultCallback).
   void OnShardDelivery(size_t shard, TripleWindow& window,
                        StatusOr<ParallelReasonerResult> result);
@@ -346,7 +271,7 @@ class ShardedPipelineEngine {
                      std::vector<MergeItem> contributions);
 
   const Program* program_;
-  ShardedPipelineOptions options_;
+  EngineConfig options_;
   EmissionHandler handler_;
   CombiningHandler merge_combiner_;
 
@@ -368,8 +293,7 @@ class ShardedPipelineEngine {
   // a shard-assignment column; eviction in global arrival order keeps
   // every per-shard expired list a prefix of that shard's retained
   // sub-stream. ---
-  WindowStore global_window_{
-      WindowStore::Options{/*with_timestamps=*/false, /*with_shards=*/true}};
+  WindowStore global_window_{WindowStore::Options{/*with_shards=*/true}};
   std::vector<std::vector<Triple>> pending_expired_;   ///< Per shard.
   std::vector<std::vector<Triple>> pending_admitted_;  ///< Per shard.
   std::vector<size_t> slice_count_;  ///< Retained items per shard.
@@ -396,7 +320,7 @@ class ShardedPipelineEngine {
 
   /// Per-shard FIFO of global sequences, one entry per punctuated
   /// sub-window: the router appends before punctuating, the shard's
-  /// emitter pops on delivery (deliveries are in local window order).
+  /// delivery pops (deliveries are in local window order).
   std::mutex mapping_mutex_;
   std::vector<std::deque<uint64_t>> global_sequence_of_;
 

@@ -1,7 +1,6 @@
 #include "streamrule/validate.h"
 
-#include "streamrule/pipeline.h"
-#include "streamrule/sharded_pipeline.h"
+#include "streamrule/engine_config.h"
 
 namespace streamasp {
 
@@ -47,7 +46,7 @@ Status ValidatePipelineOptions(const PipelineOptions& options, bool sharded) {
   return OkStatus();
 }
 
-Status ValidateShardedPipelineOptions(const ShardedPipelineOptions& options) {
+Status ValidateShardedPipelineOptions(const EngineConfig& options) {
   if (options.num_shards == 0) {
     return InvalidArgumentError("sharded engine needs num_shards >= 1");
   }

@@ -5,8 +5,8 @@
 
 namespace streamasp {
 
+struct EngineConfig;
 struct PipelineOptions;
-struct ShardedPipelineOptions;
 
 /// Expands option shorthands in place so every engine surface agrees on
 /// what a config means before validating or running it: reuse_grounding
@@ -31,9 +31,9 @@ void NormalizePipelineOptions(PipelineOptions* options);
 Status ValidatePipelineOptions(const PipelineOptions& options,
                                bool sharded = false);
 
-/// Sharded-engine validation: num_shards >= 1, then the pipeline rules
-/// above with the sharded cross-cutting rules enabled.
-Status ValidateShardedPipelineOptions(const ShardedPipelineOptions& options);
+/// Sharded-engine validation of an EngineConfig: num_shards >= 1, then
+/// the pipeline rules above with the sharded cross-cutting rules enabled.
+Status ValidateShardedPipelineOptions(const EngineConfig& options);
 
 }  // namespace streamasp
 

@@ -68,7 +68,7 @@ struct BoundedQueueStats {
 
 /// Bounded multi-producer/multi-consumer FIFO with a configurable
 /// backpressure policy — the stage boundary of the asynchronous pipeline
-/// (ingest/windower on one side, the reasoning worker pool on the other).
+/// (ingest/windower on one side, the reasoner pool's tasks on the other).
 ///
 /// All operations are thread-safe. Close() wakes every blocked producer
 /// (which observe kClosed) and consumer (Pop drains the remaining items,

@@ -93,8 +93,21 @@ void ThreadPool::WorkerLoop() {
 SharedReasonerPool::SharedReasonerPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
   threads_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+  try {
+    for (size_t i = 0; i < num_threads; ++i) {
+      threads_.emplace_back([this] { WorkerLoop(); });
+    }
+  } catch (...) {
+    // Thread spawn failed (e.g. resource exhaustion) mid-construction:
+    // unwind the workers already running so destroying joinable
+    // std::threads doesn't terminate the process.
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      shutting_down_ = true;
+    }
+    work_available_.notify_all();
+    for (std::thread& t : threads_) t.join();
+    throw;
   }
 }
 

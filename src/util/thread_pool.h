@@ -32,10 +32,11 @@ inline size_t DefaultThreadCount() {
 /// running ON a pool must never block on futures of tasks submitted to the
 /// SAME pool. If every worker is blocked waiting, the task that would
 /// unblock them can never be scheduled — a guaranteed deadlock, not a
-/// slowdown. The staged engine therefore gives each reasoning worker its
-/// own ParallelReasoner (and hence its own inner pool): a worker only ever
-/// waits on futures from the pool one level below it, never its own.
-/// Waiting on a *different* pool's futures is always safe.
+/// slowdown. The staged engine runs each window as a task on a
+/// SharedReasonerPool and gives every concurrently running task its own
+/// ParallelReasoner slot (and hence its own inner ThreadPool): a pool
+/// worker only ever waits on futures from the pool one level below it,
+/// never its own. Waiting on a *different* pool's futures is always safe.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least one).
@@ -106,9 +107,13 @@ class ThreadPool {
 ///
 /// Nesting constraint: identical to ThreadPool — a task running on the
 /// pool must never block on the completion of another task of the SAME
-/// pool (any lane). The pipelines keep this by reasoning inline on the
-/// pool worker (ParallelReasoner's single-thread mode) instead of fanning
-/// out to a pool they would then wait on.
+/// pool (any lane). The pipelines keep this by reasoning on a slot whose
+/// inner ThreadPool is a different pool (a standalone pipeline's private
+/// pool), or inline on the pool worker (ParallelReasoner's single-thread
+/// mode, the default on an injected shared pool).
+///
+/// A standalone async pipeline owns a private pool with one lane; the
+/// session server shares one pool across every async session.
 ///
 /// Thread-safety: everything is safe from any thread. Destruction
 /// contract: Drain every lane before destroying the pool (the pipelines'

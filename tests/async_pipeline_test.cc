@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <string>
@@ -136,7 +137,13 @@ TEST_F(AsyncPipelineTest, FlushDrainsAndPipelineStaysUsable) {
             ++callbacks;
           });
   ASSERT_TRUE(pipeline.ok()) << pipeline.status();
-  EXPECT_GE((*pipeline)->num_reason_workers(), 1u);
+  // num_reason_workers = 0 sizes the private pool to
+  // min(max_inflight_windows, hardware threads), and the pipeline's lane
+  // may run that many windows at once.
+  const size_t pool_threads = std::min<size_t>(4, DefaultThreadCount());
+  EXPECT_EQ((*pipeline)->num_reason_workers(), pool_threads);
+  ASSERT_NE((*pipeline)->pool_queue(), nullptr);
+  EXPECT_EQ((*pipeline)->pool_queue()->max_inflight(), pool_threads);
 
   (*pipeline)->PushBatch(MakeStream(900));
   (*pipeline)->Flush();

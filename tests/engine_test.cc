@@ -7,12 +7,14 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "stream/generator.h"
 #include "streamrule/engine.h"
 #include "streamrule/traffic_workload.h"
 #include "streamrule/validate.h"
+#include "thread_count.h"
 
 namespace streamasp {
 namespace {
@@ -93,8 +95,7 @@ TEST_F(EngineTest, ValidatorTable) {
   }
 
   // Sharded wrapper adds the shard-count rule on top of the same table.
-  ShardedPipelineOptions no_shards;
-  no_shards.num_shards = 0;
+  EngineConfig no_shards;  // num_shards defaults to 0.
   const Status status = ValidateShardedPipelineOptions(no_shards);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("num_shards"), std::string::npos);
@@ -281,11 +282,8 @@ TEST_F(EngineTest, FacadeMatchesDirectEnginesByteForByte) {
       (*direct)->PushBatch(stream);
       (*direct)->Flush();
     } else {
-      ShardedPipelineOptions options;
-      options.num_shards = shape.shards;
-      options.pipeline = config.pipeline;
       auto direct = ShardedPipelineEngine::Create(
-          program_.get(), options, [&](EmissionEvent& event) {
+          program_.get(), config, [&](EmissionEvent& event) {
             direct_transcript +=
                 Transcript(*symbols_, event.sequence, event);
           });
@@ -327,6 +325,52 @@ TEST_F(EngineTest, ShardedFacadeMatchesUnshardedAnswers) {
   EXPECT_FALSE(unsharded.empty());
   EXPECT_EQ(run(2), unsharded);
   EXPECT_EQ(run(4), unsharded);
+}
+
+TEST_F(EngineTest, StandaloneAsyncEnginesOwnOnlyTheirPoolThreads) {
+  // Async reasoning runs on each pipeline's private reasoner pool and
+  // delivery rides the drain baton, so a standalone engine's threads are
+  // exactly: its pool threads, plus one feeder per shard and the merger
+  // when sharded. reasoner.num_threads = 1 keeps inner pools out of it.
+  // A throwaway thread first absorbs any helper thread a sanitizer runtime
+  // starts on the first pthread_create.
+  std::thread([] {}).join();
+  struct Shape {
+    const char* name;
+    size_t shards;
+    size_t workers;
+    size_t expected_threads;
+  };
+  const Shape kShapes[] = {
+      {"async, 2 workers", 0, 2, 2},
+      {"sharded 2 x 1 worker", 2, 1, 2 + 1 + 2},
+  };
+  for (const Shape& shape : kShapes) {
+    SCOPED_TRACE(shape.name);
+    EngineConfig config;
+    config.num_shards = shape.shards;
+    config.pipeline.window_size = 200;
+    config.pipeline.async = true;
+    config.pipeline.num_reason_workers = shape.workers;
+    config.pipeline.reasoner.num_threads = 1;
+
+    const size_t before = SettledThreadCount();
+    ASSERT_GT(before, 0u) << "/proc/self/status not readable";
+    uint64_t results = 0;
+    auto engine = StreamEngine::Create(
+        program_.get(), config, [&results](EmissionEvent& event) {
+          if (event.kind == EmissionEvent::Kind::kResult) ++results;
+        });
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    EXPECT_EQ(CurrentThreadCount(), before + shape.expected_threads);
+    EXPECT_EQ((*engine)->num_reason_workers(), 2u);
+
+    // Reasoning and delivery start no threads lazily.
+    (*engine)->PushBatch(MakeStream(1000));
+    (*engine)->Flush();
+    EXPECT_EQ(results, 5u);
+    EXPECT_EQ(CurrentThreadCount(), before + shape.expected_threads);
+  }
 }
 
 }  // namespace

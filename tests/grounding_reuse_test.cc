@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "stream/generator.h"
-#include "stream/windowing.h"
+#include "stream/query_processor.h"
 #include "streamrule/parallel_reasoner.h"
 #include "streamrule/pipeline.h"
 #include "streamrule/sharded_pipeline.h"
@@ -71,7 +71,7 @@ class GroundingReuseTest : public ::testing::Test {
   }
 
   std::string ShardedTranscript(const Program& program,
-                                ShardedPipelineOptions options,
+                                EngineConfig options,
                                 const std::vector<Triple>& stream,
                                 ShardedPipelineStats* stats_out = nullptr) {
     std::string transcript;
@@ -107,8 +107,8 @@ TEST_F(GroundingReuseTest, ParallelReasonerSlidingWindowsMatchBatch) {
 
       std::string incremental_answers;
       std::string batch_answers;
-      SlidingCountWindower windower(
-          /*size=*/100, slide, [&](const TripleWindow& window) {
+      StreamQueryProcessor windower(
+          /*window_size=*/100, slide, [&](const TripleWindow& window) {
             StatusOr<ParallelReasonerResult> a = incremental.Process(window);
             StatusOr<ParallelReasonerResult> b = batch.Process(window);
             ASSERT_TRUE(a.ok()) << a.status();
@@ -116,7 +116,10 @@ TEST_F(GroundingReuseTest, ParallelReasonerSlidingWindowsMatchBatch) {
             AppendLine(&incremental_answers, window, *a);
             AppendLine(&batch_answers, window, *b);
           });
-      for (const Triple& t : stream) windower.Push(t);
+      for (const StreamPredicate& pred : MakeTrafficSchema(*symbols_)) {
+        windower.RegisterPredicate(pred.predicate);
+      }
+      windower.PushBatch(stream);
       windower.Flush();
       EXPECT_FALSE(batch_answers.empty());
       EXPECT_EQ(incremental_answers, batch_answers);
@@ -182,11 +185,11 @@ TEST_F(GroundingReuseTest, ShardedEngineMatchesWithAndWithoutReuse) {
   const std::vector<Triple> stream = MakeStream(800);
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    ShardedPipelineOptions base;
+    EngineConfig base;
     base.num_shards = shards;
     base.pipeline.window_size = 200;
 
-    ShardedPipelineOptions reuse = base;
+    EngineConfig reuse = base;
     reuse.pipeline.reuse_grounding = true;
 
     const std::string want = ShardedTranscript(program, base, stream);
@@ -217,7 +220,7 @@ TEST_F(GroundingReuseTest, ShardedSlidingWindowsKeepGroundingReuseIncremental) {
 
   for (const size_t shards : {size_t{2}, size_t{4}}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    ShardedPipelineOptions options;
+    EngineConfig options;
     options.num_shards = shards;
     options.pipeline.window_size = 150;
     options.pipeline.window_slide = 30;
@@ -236,7 +239,8 @@ TEST_F(GroundingReuseTest, ShardedSlidingValidation) {
 
   // The remaining unsupported sliding combination: lossy shedding (a
   // shed sub-window would stall the ordered merge; ROADMAP.md).
-  ShardedPipelineOptions lossy;
+  EngineConfig lossy;
+  lossy.num_shards = 2;
   lossy.pipeline.window_size = 100;
   lossy.pipeline.window_slide = 25;
   lossy.pipeline.backpressure = BackpressurePolicy::kDropOldest;
@@ -245,14 +249,16 @@ TEST_F(GroundingReuseTest, ShardedSlidingValidation) {
   EXPECT_FALSE(shedding.ok());
 
   // Sliding by more than a full window never makes sense.
-  ShardedPipelineOptions oversized;
+  EngineConfig oversized;
+  oversized.num_shards = 2;
   oversized.pipeline.window_size = 100;
   oversized.pipeline.window_slide = 200;
   EXPECT_FALSE(
       ShardedPipelineEngine::Create(&program, oversized, callback).ok());
 
   // In-range slides are now a supported configuration.
-  ShardedPipelineOptions sliding;
+  EngineConfig sliding;
+  sliding.num_shards = 2;
   sliding.pipeline.window_size = 100;
   sliding.pipeline.window_slide = 25;
   EXPECT_TRUE(

@@ -104,7 +104,7 @@ TEST_F(OverloadTest, RandomizedShedShardedMatrixStaysOrderedAndExact) {
       std::atomic<uint64_t> filter_shed_windows{0};
       std::atomic<uint64_t> filter_shed_items{0};
 
-      ShardedPipelineOptions options;
+      EngineConfig options;
       options.num_shards = shards;
       options.pipeline.window_size = window_size;
       options.pipeline.window_slide = slide;
@@ -384,7 +384,7 @@ TEST_F(OverloadTest, ShardedSustainedOverloadNeverStalls) {
   std::vector<Triple> stream = MakeTrafficBurstStream(
       *symbols_, num_windows * window_size, /*seed=*/11, burst);
 
-  ShardedPipelineOptions options;
+  EngineConfig options;
   options.num_shards = 2;
   options.pipeline.window_size = window_size;
   options.pipeline.async = true;

@@ -14,7 +14,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -31,6 +30,7 @@
 #include "streamrule/answer.h"
 #include "streamrule/engine.h"
 #include "streamrule/traffic_workload.h"
+#include "thread_count.h"
 
 namespace streamasp {
 namespace {
@@ -657,17 +657,6 @@ TEST(IsolationTest, SaturatingOneSessionNeverDegradesAnother) {
 // per-session quotas shed with full accounting, and 64 sessions cost
 // O(pool + 1) threads instead of O(sessions).
 // ---------------------------------------------------------------------------
-
-size_t CurrentThreadCount() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("Threads:", 0) == 0) {
-      return static_cast<size_t>(std::stoul(line.substr(8)));
-    }
-  }
-  return 0;
-}
 
 TEST(SharedPoolServerTest, PooledSessionsMatchStandaloneOracles) {
   ServerConfig config;

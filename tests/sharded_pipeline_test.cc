@@ -61,7 +61,7 @@ class ShardedPipelineTest : public ::testing::Test {
   }
 
   std::string ShardedTranscript(const Program& program,
-                                ShardedPipelineOptions options,
+                                EngineConfig options,
                                 const std::vector<Triple>& stream,
                                 ShardedPipelineStats* stats_out = nullptr) {
     std::string transcript;
@@ -116,7 +116,7 @@ TEST_F(ShardedPipelineTest, ShardCountInvariantAgainstSyncOracle) {
 
   for (const size_t shards : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    ShardedPipelineOptions options;
+    EngineConfig options;
     options.num_shards = shards;
     options.pipeline.window_size = 500;
     options.pipeline.async = true;
@@ -151,7 +151,7 @@ TEST_F(ShardedPipelineTest, ConnectedVariantWithDuplicationStaysInvariant) {
   const std::string oracle = SyncOracleTranscript(*program, 400, stream);
   for (const size_t shards : {2u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    ShardedPipelineOptions options;
+    EngineConfig options;
     options.num_shards = shards;
     options.pipeline.window_size = 400;
     options.pipeline.async = true;
@@ -169,7 +169,7 @@ TEST_F(ShardedPipelineTest, SynchronousShardPipelinesAlsoMatch) {
   const std::vector<Triple> stream = MakeStream(2500, /*seed=*/11);
 
   const std::string oracle = SyncOracleTranscript(*program, 300, stream);
-  ShardedPipelineOptions options;
+  EngineConfig options;
   options.num_shards = 3;
   options.pipeline.window_size = 300;
   options.pipeline.async = false;
@@ -198,7 +198,7 @@ TEST_F(ShardedPipelineTest, CommunityShardKeyMatchesOracleWithoutDuplication) {
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(plan->DuplicatedPredicates().empty());
 
-  ShardedPipelineOptions options;
+  EngineConfig options;
   options.num_shards = 2;
   options.shard_key = CommunityShardKey(*plan);
   options.pipeline.window_size = 250;
@@ -220,7 +220,7 @@ TEST_F(ShardedPipelineTest, SkewedKeyRoutesEverythingToOneShardCorrectly) {
   const std::string oracle =
       SyncOracleTranscript(*program, 400, stream, &oracle_stats);
 
-  ShardedPipelineOptions options;
+  EngineConfig options;
   options.num_shards = 4;
   options.shard_key = ConstantShardKey();
   options.pipeline.window_size = 400;
@@ -269,7 +269,7 @@ TEST_F(ShardedPipelineTest, SlidingGlobalWindowsMatchSyncOracle) {
                        " slide=" + std::to_string(slide) +
                        " shards=" + std::to_string(shards) +
                        (reuse ? " +reuse" : ""));
-          ShardedPipelineOptions options;
+          EngineConfig options;
           options.num_shards = shards;
           options.pipeline.window_size = 200;
           options.pipeline.window_slide = slide;
@@ -314,7 +314,7 @@ TEST_F(ShardedPipelineTest, SlidingSmallSlidesPunctuateEmptyDeltas) {
   const std::string oracle = SyncOracleTranscript(
       *program, /*window_size=*/120, stream, nullptr, /*window_slide=*/10);
 
-  ShardedPipelineOptions options;
+  EngineConfig options;
   options.num_shards = 4;
   options.pipeline.window_size = 120;
   options.pipeline.window_slide = 10;
@@ -352,7 +352,7 @@ TEST_F(ShardedPipelineTest, SlidingDuplicateTriplesExpireAcrossBoundaries) {
 
   for (const size_t shards : {size_t{2}, size_t{4}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    ShardedPipelineOptions options;
+    EngineConfig options;
     options.num_shards = shards;
     options.pipeline.window_size = 100;
     options.pipeline.window_slide = 20;
@@ -389,7 +389,7 @@ TEST_F(ShardedPipelineTest, SlidingShardWithAdmissionsButNoExpirations) {
   const std::string oracle = SyncOracleTranscript(
       *program, /*window_size=*/40, stream, nullptr, /*window_slide=*/8);
 
-  ShardedPipelineOptions options;
+  EngineConfig options;
   options.num_shards = 2;
   options.shard_key = [](const Triple& t) {
     return static_cast<uint64_t>(t.object->integer_value());
@@ -422,7 +422,7 @@ TEST_F(ShardedPipelineTest, SlidingFlushBeforeFirstFillEmitsPartialWindow) {
       *program, /*window_size=*/200, stream, nullptr, /*window_slide=*/50);
   ASSERT_FALSE(oracle.empty());
 
-  ShardedPipelineOptions options;
+  EngineConfig options;
   options.num_shards = 3;
   options.pipeline.window_size = 200;
   options.pipeline.window_slide = 50;
@@ -449,7 +449,7 @@ TEST_F(ShardedPipelineTest, SlidingWithAsyncInnerPipelinesMatchesOracle) {
   const std::string oracle = SyncOracleTranscript(
       *program, /*window_size=*/200, stream, nullptr, /*window_slide=*/40);
 
-  ShardedPipelineOptions options;
+  EngineConfig options;
   options.num_shards = 2;
   options.pipeline.window_size = 200;
   options.pipeline.window_slide = 40;
@@ -467,7 +467,7 @@ TEST_F(ShardedPipelineTest, StatsAggregateAcrossShards) {
       symbols_, TrafficProgramVariant::kP, /*with_show=*/true);
   ASSERT_TRUE(program.ok());
 
-  ShardedPipelineOptions options;
+  EngineConfig options;
   options.num_shards = 4;
   options.pipeline.window_size = 300;
   options.pipeline.async = true;
@@ -508,7 +508,7 @@ TEST_F(ShardedPipelineTest, FlushDrainsAndEngineStaysUsable) {
   ASSERT_TRUE(program.ok());
 
   std::atomic<uint64_t> callbacks{0};
-  ShardedPipelineOptions options;
+  EngineConfig options;
   options.num_shards = 2;
   options.pipeline.window_size = 300;
   options.pipeline.async = true;
@@ -538,7 +538,7 @@ TEST_F(ShardedPipelineTest, DestructorDrainsAdmittedGlobalWindows) {
 
   std::atomic<uint64_t> callbacks{0};
   {
-    ShardedPipelineOptions options;
+    EngineConfig options;
     options.num_shards = 2;
     options.pipeline.window_size = 200;
     options.pipeline.async = true;
@@ -564,15 +564,15 @@ TEST_F(ShardedPipelineTest, CreateValidatesOptions) {
   const ShardedPipelineEngine::ResultCallback callback =
       [](const TripleWindow&, const ParallelReasonerResult&) {};
 
-  ShardedPipelineOptions zero_shards;
-  zero_shards.num_shards = 0;
+  EngineConfig zero_shards;  // num_shards defaults to 0.
   EXPECT_FALSE(
       ShardedPipelineEngine::Create(&*program, zero_shards, callback).ok());
 
   // Lossy backpressure needs async inner pipelines (sync mode has no work
   // queue to shed from); with async set the shedding-aware merge handles
   // it, sliding windows included.
-  ShardedPipelineOptions shedding;
+  EngineConfig shedding;
+  shedding.num_shards = 2;
   shedding.pipeline.backpressure = BackpressurePolicy::kDropOldest;
   EXPECT_FALSE(
       ShardedPipelineEngine::Create(&*program, shedding, callback).ok());
@@ -580,7 +580,8 @@ TEST_F(ShardedPipelineTest, CreateValidatesOptions) {
   EXPECT_TRUE(
       ShardedPipelineEngine::Create(&*program, shedding, callback).ok());
 
-  ShardedPipelineOptions ok_options;
+  EngineConfig ok_options;
+  ok_options.num_shards = 2;
   EXPECT_FALSE(
       ShardedPipelineEngine::Create(nullptr, ok_options, callback).ok());
   EXPECT_FALSE(ShardedPipelineEngine::Create(
@@ -602,7 +603,7 @@ TEST_F(ShardedPipelineTest, FailedSubWindowsSkipTheirSlotInsteadOfStalling) {
   ASSERT_TRUE(program.ok());
 
   std::atomic<uint64_t> callbacks{0};
-  ShardedPipelineOptions options;
+  EngineConfig options;
   options.num_shards = 2;
   options.pipeline.window_size = 200;
   options.pipeline.async = false;
@@ -631,7 +632,7 @@ TEST_F(ShardedPipelineTest, ThrowingCallbackIsCountedNotFatal) {
   ASSERT_TRUE(program.ok());
 
   std::atomic<uint64_t> delivered{0};
-  ShardedPipelineOptions options;
+  EngineConfig options;
   options.num_shards = 2;
   options.pipeline.window_size = 250;
   options.pipeline.async = true;

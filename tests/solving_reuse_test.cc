@@ -13,7 +13,7 @@
 
 #include "asp/parser.h"
 #include "stream/generator.h"
-#include "stream/windowing.h"
+#include "stream/query_processor.h"
 #include "streamrule/parallel_reasoner.h"
 #include "streamrule/pipeline.h"
 #include "streamrule/sharded_pipeline.h"
@@ -70,7 +70,7 @@ class SolvingReuseTest : public ::testing::Test {
   }
 
   std::string ShardedTranscript(const Program& program,
-                                ShardedPipelineOptions options,
+                                EngineConfig options,
                                 const std::vector<Triple>& stream,
                                 ShardedPipelineStats* stats_out = nullptr) {
     std::string transcript;
@@ -110,8 +110,8 @@ TEST_F(SolvingReuseTest, ParallelReasonerSlidingWindowsMatchBatch) {
 
         std::string warm_answers;
         std::string batch_answers;
-        SlidingCountWindower windower(
-            /*size=*/100, slide, [&](const TripleWindow& window) {
+        StreamQueryProcessor windower(
+            /*window_size=*/100, slide, [&](const TripleWindow& window) {
               StatusOr<ParallelReasonerResult> a = warm.Process(window);
               StatusOr<ParallelReasonerResult> b = batch.Process(window);
               ASSERT_TRUE(a.ok()) << a.status();
@@ -119,7 +119,10 @@ TEST_F(SolvingReuseTest, ParallelReasonerSlidingWindowsMatchBatch) {
               AppendLine(&warm_answers, window, *a);
               AppendLine(&batch_answers, window, *b);
             });
-        for (const Triple& t : stream) windower.Push(t);
+        for (const StreamPredicate& pred : MakeTrafficSchema(*symbols_)) {
+          windower.RegisterPredicate(pred.predicate);
+        }
+        windower.PushBatch(stream);
         windower.Flush();
         EXPECT_FALSE(batch_answers.empty());
         EXPECT_EQ(warm_answers, batch_answers);
@@ -194,11 +197,11 @@ TEST_F(SolvingReuseTest, ShardedEngineMatchesWithAndWithoutReuse) {
   const std::vector<Triple> stream = MakeStream(800);
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    ShardedPipelineOptions base;
+    EngineConfig base;
     base.num_shards = shards;
     base.pipeline.window_size = 200;
 
-    ShardedPipelineOptions warm = base;
+    EngineConfig warm = base;
     warm.pipeline.reuse_grounding = true;
     warm.pipeline.reuse_solving = true;
 
@@ -231,12 +234,12 @@ TEST_F(SolvingReuseTest, ShardedSlidingEngineKeepsPersistentSolversWarm) {
 
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    ShardedPipelineOptions base;
+    EngineConfig base;
     base.num_shards = shards;
     base.pipeline.window_size = 200;
     base.pipeline.window_slide = 40;
 
-    ShardedPipelineOptions warm = base;
+    EngineConfig warm = base;
     warm.pipeline.reuse_solving = true;  // Implies reuse_grounding.
 
     EXPECT_EQ(ShardedTranscript(program, base, stream), oracle);
@@ -296,13 +299,13 @@ TEST_F(SolvingReuseTest, ShardedMaintainedFixpointColumnMatchesOracle) {
 
   for (const size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    ShardedPipelineOptions maintained;
+    EngineConfig maintained;
     maintained.num_shards = shards;
     maintained.pipeline.window_size = 200;
     maintained.pipeline.window_slide = 40;
     maintained.pipeline.reuse_solving = true;
 
-    ShardedPipelineOptions patched = maintained;
+    EngineConfig patched = maintained;
     patched.pipeline.reasoner.reasoner.solving.maintain_fixpoint = false;
 
     EXPECT_EQ(ShardedTranscript(program, maintained, stream), oracle);

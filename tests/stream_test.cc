@@ -275,5 +275,103 @@ TEST_F(QueryProcessorTest, ZeroWindowSizeClampedToOne) {
   EXPECT_EQ(calls, 1);
 }
 
+// Sliding windows carry expired/admitted deltas against the previously
+// emitted window, which the incremental grounding layer consumes.
+
+std::map<int64_t, int> Counts(const std::vector<Triple>& items) {
+  std::map<int64_t, int> counts;
+  for (const Triple& t : items) ++counts[t.subject.integer_value()];
+  return counts;
+}
+
+/// The delta contract: previous.items - expired + admitted == items, as
+/// multisets (an item may appear in both delta sets and must net out).
+void ExpectDeltaInvariant(const std::vector<TripleWindow>& windows) {
+  std::map<int64_t, int> running;  // Starts as the empty window.
+  for (const TripleWindow& w : windows) {
+    ASSERT_TRUE(w.has_delta) << "window " << w.sequence;
+    for (const Triple& t : w.expired) {
+      if (--running[t.subject.integer_value()] == 0) {
+        running.erase(t.subject.integer_value());
+      }
+    }
+    for (const Triple& t : w.admitted) ++running[t.subject.integer_value()];
+    EXPECT_EQ(running, Counts(w.items)) << "window " << w.sequence;
+  }
+}
+
+/// Pushes p(id) for every id in order, then flushes.
+std::vector<TripleWindow> SlideOver(SymbolTable& symbols, size_t size,
+                                    size_t slide,
+                                    const std::vector<int64_t>& ids) {
+  std::vector<TripleWindow> windows;
+  StreamQueryProcessor proc(size, slide, [&](TripleWindow w) {
+    windows.push_back(std::move(w));
+  });
+  const SymbolId p = symbols.Intern("p");
+  proc.RegisterPredicate(p);
+  for (const int64_t id : ids) {
+    proc.Push(Triple{Term::Integer(id), p, std::nullopt});
+  }
+  proc.Flush();
+  return windows;
+}
+
+std::vector<int64_t> Ids(int64_t n, int64_t modulo = 0) {
+  std::vector<int64_t> ids;
+  for (int64_t i = 0; i < n; ++i) ids.push_back(modulo == 0 ? i : i % modulo);
+  return ids;
+}
+
+TEST_F(QueryProcessorTest, DeltaInvariantAcrossSlideSizes) {
+  for (const size_t slide : {size_t{1}, size_t{2}, size_t{3}}) {
+    const std::vector<TripleWindow> windows =
+        SlideOver(*symbols_, 4, slide, Ids(13));
+    ASSERT_FALSE(windows.empty()) << "slide " << slide;
+    ExpectDeltaInvariant(windows);
+  }
+}
+
+TEST_F(QueryProcessorTest, SlideEqualsSizeIsTumblingWithoutDelta) {
+  // slide == size selects tumbling windows: consecutive windows are
+  // disjoint and carry no delta, so incremental consumers treat each one
+  // as a fresh snapshot (a full replacement).
+  const std::vector<TripleWindow> windows =
+      SlideOver(*symbols_, 3, 3, Ids(9));
+  ASSERT_EQ(windows.size(), 3u);
+  for (size_t k = 0; k < windows.size(); ++k) {
+    EXPECT_FALSE(windows[k].has_delta);
+    ASSERT_EQ(windows[k].size(), 3u);
+    EXPECT_EQ(windows[k].items[0].subject.integer_value(),
+              static_cast<int64_t>(3 * k));
+  }
+}
+
+TEST_F(QueryProcessorTest, DuplicateItemsKeepMultisetDeltas) {
+  // Only two distinct payloads circulate: every window holds duplicates.
+  const std::vector<TripleWindow> windows =
+      SlideOver(*symbols_, 4, 2, Ids(12, /*modulo=*/2));
+  ExpectDeltaInvariant(windows);
+  // Steady state: each slide expires exactly two items and admits two,
+  // even though the expired and admitted atoms are identical.
+  ASSERT_GE(windows.size(), 2u);
+  EXPECT_EQ(windows[1].expired.size(), 2u);
+  EXPECT_EQ(windows[1].admitted.size(), 2u);
+}
+
+TEST_F(QueryProcessorTest, FlushDeltaCoversThePartialTail) {
+  // Windows close at item 4 ([0..3]) and item 6 ([2..5]); the flush
+  // emits the rolling buffer [3..6] after a single arrival.
+  const std::vector<TripleWindow> windows =
+      SlideOver(*symbols_, 4, 2, Ids(7));
+  ASSERT_EQ(windows.size(), 3u);
+  ExpectDeltaInvariant(windows);
+  EXPECT_EQ(windows[2].size(), 4u);
+  ASSERT_EQ(windows[2].expired.size(), 1u);  // Item 2 rolled out.
+  EXPECT_EQ(windows[2].expired[0].subject.integer_value(), 2);
+  ASSERT_EQ(windows[2].admitted.size(), 1u);  // Item 6 arrived.
+  EXPECT_EQ(windows[2].admitted[0].subject.integer_value(), 6);
+}
+
 }  // namespace
 }  // namespace streamasp
