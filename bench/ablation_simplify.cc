@@ -1,7 +1,10 @@
-// Ablation: the grounder's equivalence-preserving simplification (fact
-// propagation + satisfied-rule elimination). It shifts work from the
-// solver to the grounder; this bench shows the net effect on end-to-end
-// reasoner latency and the ground-program size it hands the solver.
+// Ablation: the grounder's equivalence-preserving simplification (certain
+// instances folded into facts during instantiation, then fact propagation
+// + satisfied-rule elimination over the rest). It shifts work from the
+// solver to the grounder, and on P' leaves the solver a facts-only
+// program it answers without search; this bench shows the net effect on
+// end-to-end reasoner latency and the ground-program size it hands the
+// solver.
 
 #include <cstdio>
 

@@ -4,7 +4,7 @@
 // whole-window reasoner R, the dependency-partitioned reasoner PR_Dep and
 // the random-partitioning baselines PR_Ran_k2..k5.
 //
-// Latency note (documented in EXPERIMENTS.md): the paper measured an
+// Latency note (the caveat in docs/benchmarks.md): the paper measured an
 // 8-core machine; on boxes with fewer cores the wall time of the parallel
 // phase is partially serialized, so the harness reports the
 // hardware-independent critical-path latency (partition + slowest

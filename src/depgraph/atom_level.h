@@ -45,8 +45,9 @@ struct AtomLevelOptions {
 ///      of the decomposing process) and verification repeats to fixpoint.
 ///
 /// A community is *split-enabled* when all of its input predicates end up
-/// keyed; otherwise it falls back to a single bucket. Soundness argument
-/// and the replication semantics are spelled out in DESIGN.md.
+/// keyed; otherwise it falls back to a single bucket. The soundness
+/// argument and the replication semantics are in ARCHITECTURE.md,
+/// "Atom-level partitioning".
 class AtomLevelPlan {
  public:
   /// Sentinel key position for unkeyed (replicated) predicates.

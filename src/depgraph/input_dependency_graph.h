@@ -16,7 +16,8 @@ struct InputDependencyOptions {
   /// negatively occurring predicate u to an input predicate p only along a
   /// *direct* EP2 edge <p, u>. When this flag is set, propagation follows
   /// any directed EP2 path p =>* u instead — a strictly more conservative
-  /// (more self-loops) variant discussed in DESIGN.md. The paper's
+  /// (more self-loops) variant; see ARCHITECTURE.md, "Self-loop
+  /// propagation in the input dependency graph". The paper's
   /// examples are unaffected either way.
   bool transitive_self_loop_propagation = false;
 };

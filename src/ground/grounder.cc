@@ -17,8 +17,13 @@ using ground_internal::PredicateExtension;
 
 /// One workspace's instantiation state over a shared plan; see
 /// GroundingWorkspace for the reuse contract. Policies on the shared core:
-/// literals of earlier components see their whole extension, and negative
-/// literals over finished extensions are resolved eagerly.
+/// literals of earlier components see their whole extension, negative
+/// literals over finished extensions are resolved eagerly, and — with
+/// GroundingOptions::simplify — settled instances are folded into
+/// per-atom certain bits instead of being stored (see Grounder). By
+/// induction over the fold a certain atom is true in every answer set:
+/// the certain atoms are the definitely-true atoms SimplifyGroundRules
+/// would derive, so Run writes the facts it would produce directly.
 class GroundingWorkspace::Engine
     : public ground_internal::InstantiationCore<GroundingWorkspace::Engine> {
  public:
@@ -34,10 +39,18 @@ class GroundingWorkspace::Engine
 
   std::vector<GroundRule>& rules() { return ground_.mutable_rules(); }
 
+  /// Sizes the per-atom bits to cover `id`.
+  void Track(GroundAtomId id) {
+    if (id >= derivable_.size()) {
+      derivable_.resize(id + 1, false);
+      certain_.resize(id + 1, false);
+    }
+  }
+
   /// Marks interned atom `id` derivable; a newly derivable atom of a
   /// registered predicate joins that predicate's extension.
   GroundAtomId AddDerived(GroundAtomId id, int pred) {
-    if (id >= derivable_.size()) derivable_.resize(id + 1, false);
+    Track(id);
     if (!derivable_[id]) {
       derivable_[id] = true;
       if (pred >= 0) extensions_[pred].atoms.push_back(id);
@@ -53,18 +66,23 @@ class GroundingWorkspace::Engine
   GroundAtomId NegativeInstance(const Atom& pattern, int pred) {
     if (plan_->pred_component[pred] < component_) {
       // The predicate's extension is final: an underivable atom can never
-      // become true, so `not atom` is certainly satisfied — drop it.
+      // become true, so `not atom` is certainly satisfied — drop it; a
+      // certain one is always true, so the instance can never fire.
       const GroundAtomId existing = atoms().LookupPacked(
           pattern.predicate(), words_.data(), pattern.arity());
       if (existing == kInvalidGroundAtom || !derivable_[existing]) {
         return kInvalidGroundAtom;
+      }
+      if (options_->simplify && certain_[existing]) {
+        ++instances_;
+        return ground_internal::kBlockedInstance;
       }
       return existing;
     }
     // Intern without marking derivable.
     const GroundAtomId id = atoms().InternPacked(
         pattern.predicate(), words_.data(), pattern.arity());
-    if (id >= derivable_.size()) derivable_.resize(id + 1, false);
+    Track(id);
     return id;
   }
 
@@ -74,13 +92,61 @@ class GroundingWorkspace::Engine
                       pred);
   }
 
-  Status EmitRule(GroundRule rule) {
-    if (rules().size() >= options_->max_ground_rules) {
+  /// Counts one instance against GroundingOptions::max_ground_rules,
+  /// whether it is stored, folded or seeded.
+  Status CountInstance() {
+    if (instances_ >= options_->max_ground_rules) {
       return ground_internal::RuleLimitError(options_->max_ground_rules);
     }
-    rules().push_back(std::move(rule));
+    ++instances_;
     return OkStatus();
   }
+
+  void MarkCertain(GroundAtomId id) {
+    if (!certain_[id]) {
+      certain_[id] = true;
+      ++num_certain_;
+    }
+  }
+
+  /// A single-head instance with no negative literal left and an all-
+  /// certain positive body; only ever true under simplify.
+  bool IsCertain(const GroundRule& rule) const {
+    if (!options_->simplify || rule.head.size() != 1 ||
+        !rule.negative_body.empty()) {
+      return false;
+    }
+    for (GroundAtomId id : rule.positive_body) {
+      if (!certain_[id]) return false;
+    }
+    return true;
+  }
+
+  Status EmitRule(GroundRule rule) {
+    STREAMASP_RETURN_IF_ERROR(CountInstance());
+    if (IsCertain(rule)) {
+      MarkCertain(rule.head[0]);
+    } else {
+      rules().push_back(std::move(rule));
+    }
+    return OkStatus();
+  }
+
+  /// Seeds the fact `id` (already derived): folded into its certain bit
+  /// under simplify, else stored as a fact rule.
+  Status EmitFact(GroundAtomId id) {
+    STREAMASP_RETURN_IF_ERROR(CountInstance());
+    if (options_->simplify) {
+      MarkCertain(id);
+    } else {
+      rules().push_back(GroundRule{{id}, {}, {}});
+    }
+    return OkStatus();
+  }
+
+  /// Writes one fact per certain atom, ascending, in front of the stored
+  /// residual instances — the layout SimplifyGroundRules produces.
+  void LayOutCertainFacts();
 
   void Reset();
   Status SeedFacts(const std::vector<Atom>& input_facts);
@@ -88,12 +154,19 @@ class GroundingWorkspace::Engine
 
   const GroundingOptions* options_ = nullptr;
   std::vector<bool> derivable_;
+  std::vector<bool> certain_;
+  size_t num_certain_ = 0;
+  /// Instances matched this run: stored, folded, blocked or seeded.
+  size_t instances_ = 0;
 };
 
 void GroundingWorkspace::Engine::Reset() {
   atoms().Clear();
   rules().clear();
   derivable_.clear();
+  certain_.clear();
+  num_certain_ = 0;
+  instances_ = 0;
   for (PredicateExtension& ext : extensions_) ext.Clear();
 }
 
@@ -111,6 +184,7 @@ Status GroundingWorkspace::Engine::SeedFacts(
       ground.head.push_back(AddDerived(atoms().Intern(head),
                                        plan_->PredIndexOf(head.signature())));
     }
+    // A disjunctive fact is stored; a plain one folds.
     STREAMASP_RETURN_IF_ERROR(EmitRule(std::move(ground)));
   }
   for (const Atom& fact : input_facts) {
@@ -118,10 +192,8 @@ Status GroundingWorkspace::Engine::SeedFacts(
       return InvalidArgumentError("non-ground input fact: " +
                                   fact.ToString(program.symbol_table()));
     }
-    GroundRule ground;
-    ground.head.push_back(AddDerived(atoms().Intern(fact),
-                                     plan_->PredIndexOf(fact.signature())));
-    STREAMASP_RETURN_IF_ERROR(EmitRule(std::move(ground)));
+    STREAMASP_RETURN_IF_ERROR(EmitFact(AddDerived(
+        atoms().Intern(fact), plan_->PredIndexOf(fact.signature()))));
   }
   return OkStatus();
 }
@@ -196,13 +268,35 @@ Status GroundingWorkspace::Engine::Run(const std::vector<Atom>& input_facts,
   }
 
   GroundingStats run;
-  if (derivable_.size() < atoms().size()) {
-    derivable_.resize(atoms().size(), false);
+  if (options.simplify) {
+    const bool residual = !rules().empty();
+    LayOutCertainFacts();
+    // Only residual instances can still simplify: certain atoms are
+    // already facts, and a facts-only program is final.
+    if (residual) {
+      ground_internal::SimplifyGroundRules(atoms().size(), derivable_,
+                                           &rules(), &simplify_);
+    }
   }
-  SimplifyAndCount(options.simplify, derivable_, &run);
+  run.num_rules_raw = instances_;
+  CountOutput(&run);
   run.atom_table_bytes = atoms().ApproxBytes();
   if (stats != nullptr) *stats = run;
   return OkStatus();
+}
+
+void GroundingWorkspace::Engine::LayOutCertainFacts() {
+  if (num_certain_ == 0) return;
+  std::vector<GroundRule>& out = rules();
+  const size_t residual = out.size();
+  out.resize(num_certain_ + residual);
+  for (size_t i = residual; i-- > 0;) {
+    out[num_certain_ + i] = std::move(out[i]);
+  }
+  size_t next = 0;
+  for (GroundAtomId a = 0; next < num_certain_; ++a) {
+    if (certain_[a]) out[next++] = GroundRule{{a}, {}, {}};
+  }
 }
 
 GroundingWorkspace::GroundingWorkspace(GroundingPlanPtr plan)

@@ -13,12 +13,19 @@ namespace streamasp {
 
 /// Tuning knobs for grounding.
 struct GroundingOptions {
-  /// Apply equivalence-preserving simplification after instantiation:
-  /// definite facts are removed from positive bodies, rules with a
-  /// definitely-true negative-body atom (or a definitely-true head atom)
-  /// are dropped, and negative literals on underivable atoms are erased.
-  /// Stable models are preserved exactly; the solver just gets a (often
-  /// dramatically) smaller program. Mirrors what Clingo's grounder does.
+  /// Apply equivalence-preserving simplification: definite facts are
+  /// removed from positive bodies, rules with a definitely-true
+  /// negative-body atom (or a definitely-true head atom) are dropped, and
+  /// negative literals on underivable atoms are erased. Stable models are
+  /// preserved exactly; the solver just gets a (often dramatically)
+  /// smaller program. Mirrors what Clingo's grounder does.
+  ///
+  /// The cold Grounder does most of this during instantiation: an
+  /// instance whose head is certain (true in every answer set) is folded
+  /// into a fact rather than stored, and one negating a certain atom is
+  /// dropped (see Grounder). A stratified program then grounds to facts
+  /// alone, which Solver::Solve answers without search. Off, every raw
+  /// instance is emitted: the reference the differential tests use.
   bool simplify = true;
 
   /// Safety valve on the number of ground rule instantiations; grounding
@@ -32,9 +39,11 @@ struct GroundingOptions {
 /// shared mutable stats state, so concurrent Ground calls cannot race.
 struct GroundingStats {
   size_t num_atoms = 0;          ///< Interned ground atoms.
-  size_t num_rules = 0;          ///< Emitted ground rules after simplify.
-  size_t num_rules_raw = 0;      ///< Emitted ground rules before simplify.
-  size_t num_facts = 0;          ///< Rules that are definite facts.
+  size_t num_rules = 0;          ///< Rules of the output program.
+  /// Instances matched before simplify: stored, folded into facts,
+  /// blocked or seeded (the input and program facts).
+  size_t num_rules_raw = 0;
+  size_t num_facts = 0;          ///< Output rules that are definite facts.
   size_t num_constraints = 0;    ///< Ground integrity constraints.
 
   // --- incremental reuse counters (all zero for a batch Grounder run; see
@@ -128,6 +137,18 @@ class GroundingWorkspace {
 /// Negation within a component (unstratified programs) is left to the
 /// solver, which is what makes the pipeline complete for arbitrary normal
 /// programs rather than just stratified ones.
+///
+/// With simplify on, the grounder also tracks which atoms are *certain*:
+/// input and program facts, and the single head of an instance whose
+/// positive body is all certain and whose negative literals were all
+/// deleted. Such instances are folded into facts instead of stored, and a
+/// negative literal on a certain atom of a finished component drops its
+/// whole instance (the head is not even interned). Disjunctive heads and
+/// constraints never fold. The output lists one fact per certain atom in
+/// ascending id order, then the residual instances, which alone go
+/// through the simplifier. Every matched instance, folded or not, counts
+/// toward max_ground_rules. See ARCHITECTURE.md, "Certain atoms in the
+/// cold grounder".
 class Grounder {
  public:
   explicit Grounder(GroundingOptions options = {}) : options_(options) {}

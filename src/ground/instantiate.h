@@ -10,11 +10,14 @@
 ///
 /// The batch Grounder (ground/grounder.cc) and the window-to-window
 /// IncrementalGrounder (ground/incremental_grounder.cc) are thin clients
-/// that differ in three policies only: the visible range of literals
+/// that differ in four policies only: the visible range of literals
 /// outside the component under evaluation (everything vs the window's
 /// admissions in round 1), eager resolution of negative literals against
-/// finished extensions (batch only), and support bookkeeping with
-/// tombstoned extension entries (incremental only).
+/// finished extensions (batch only), folding instances whose head is
+/// certain — true in every answer set — into facts instead of storing
+/// them, so a stratified program grounds to facts alone (batch only, under
+/// GroundingOptions::simplify), and support bookkeeping with tombstoned
+/// extension entries (incremental only).
 
 #include <cstdint>
 #include <unordered_map>
@@ -236,6 +239,11 @@ void SimplifyGroundRules(size_t num_atoms, const std::vector<bool>& derivable,
 /// GroundingOptions::max_ground_rules.
 Status RuleLimitError(size_t max_ground_rules);
 
+/// NegativeInstance's outcome for a negative literal whose atom is
+/// certainly true: the instance's body can never hold, so it is dropped
+/// whole. Never a valid atom id.
+inline constexpr GroundAtomId kBlockedInstance = kInvalidGroundAtom - 1;
+
 }  // namespace ground_internal
 
 /// The program-dependent half of grounding, built once per program by
@@ -289,8 +297,9 @@ namespace ground_internal {
 ///       the visible range of positive literal `position` when its
 ///       predicate lies outside the component under evaluation;
 ///   GroundAtomId NegativeInstance(const Atom& pattern, int pred)
-///       the atom of the negative literal packed in words_, or
-///       kInvalidGroundAtom to drop the literal from the instance;
+///       the atom of the negative literal packed in words_,
+///       kInvalidGroundAtom to drop the literal from the instance, or
+///       kBlockedInstance to drop the whole instance;
 ///   GroundAtomId HeadInstance(const Atom& pattern, int pred)
 ///       interns and derives the head atom packed in words_;
 ///   Status EmitRule(GroundRule rule)
@@ -346,10 +355,15 @@ class InstantiationCore {
     if (simplify) {
       SimplifyGroundRules(atoms().size(), derivable, &rules, &simplify_);
     }
-    stats->num_rules = rules.size();
-    stats->num_atoms = atoms().size();
+    CountOutput(stats);
+  }
+
+  /// Fills the output-program counters of `stats` from ground_.
+  void CountOutput(GroundingStats* stats) const {
+    stats->num_rules = ground_.rules().size();
+    stats->num_atoms = ground_.num_atoms();
     stats->num_facts = stats->num_constraints = 0;
-    for (const GroundRule& rule : rules) {
+    for (const GroundRule& rule : ground_.rules()) {
       if (rule.is_fact()) ++stats->num_facts;
       if (rule.is_constraint()) ++stats->num_constraints;
     }
@@ -363,6 +377,7 @@ class InstantiationCore {
   // The evaluation under way (see EvaluateRule).
   int component_ = 0;
   int delta_position_ = -1;
+  SimplifyScratch simplify_;
 
  private:
   Range LiteralRange(const CompiledRule& rule, size_t position) const {
@@ -392,7 +407,6 @@ class InstantiationCore {
   /// Comparisons resolved so far, in order; each match level unmarks its
   /// own suffix on backtracking.
   std::vector<size_t> done_trail_;
-  SimplifyScratch simplify_;
 };
 
 // Defined outside the class body, so neither carries the implicit inline
@@ -498,6 +512,7 @@ Status InstantiationCore<Engine>::EmitInstance(const CompiledRule* rule) {
     }
     const GroundAtomId id =
         engine.NegativeInstance(rule->negatives[i], rule->negative_preds[i]);
+    if (id == kBlockedInstance) return OkStatus();  // The body never holds.
     if (id != kInvalidGroundAtom) ground.negative_body.push_back(id);
   }
   for (size_t i = 0; i < rule->heads.size(); ++i) {

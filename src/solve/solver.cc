@@ -267,6 +267,21 @@ StatusOr<std::vector<AnswerSet>> Solver::Solve(
 
 StatusOr<std::vector<AnswerSet>> Solver::Solve(
     const GroundProgram& program, SolveWorkspace* workspace) const {
+  const std::vector<GroundRule>& rules = program.rules();
+  if (std::all_of(rules.begin(), rules.end(),
+                  [](const GroundRule& rule) { return rule.is_fact(); })) {
+    // A facts-only program (what the grounder leaves of a stratified one)
+    // has exactly one answer set, its facts: no core, no search.
+    AnswerSet model;
+    model.atoms.reserve(rules.size());
+    for (const GroundRule& rule : rules) model.atoms.push_back(rule.head[0]);
+    std::sort(model.atoms.begin(), model.atoms.end());
+    model.atoms.erase(std::unique(model.atoms.begin(), model.atoms.end()),
+                      model.atoms.end());
+    std::vector<AnswerSet> models;
+    models.push_back(std::move(model));
+    return models;
+  }
   PropagationCore& core = *workspace->core_;
   bool has_disjunction = false;
   core.BuildFromRules(program.num_atoms(),

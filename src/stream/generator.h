@@ -21,7 +21,8 @@ enum class GeneratorProfile {
   /// Subjects (entities/locations) are drawn from a small pool
   /// (n / location_divisor) and objects from [0, value_range), so that
   /// joins and threshold comparisons fire at a healthy rate. Used by the
-  /// accuracy figures; documented as a substitution in EXPERIMENTS.md.
+  /// accuracy figures; see ARCHITECTURE.md, "Stand-ins for the paper's
+  /// testbed".
   kEventRich,
 };
 

@@ -51,7 +51,7 @@ struct ParallelReasonerResult {
   /// partition's reasoner latency + combine_ms. This is the quantity the
   /// paper's 8-core testbed measures as "reasoning latency of PR"; the
   /// figure harnesses report it alongside the measured wall time (see
-  /// EXPERIMENTS.md on the single-core substitution).
+  /// the latency caveat in docs/benchmarks.md).
   double critical_path_ms = 0;
 
   size_t num_partitions = 0;

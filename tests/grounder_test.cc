@@ -1,11 +1,16 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "asp/parser.h"
 #include "ground/grounder.h"
+#include "solve/solver.h"
+#include "stream/format.h"
+#include "stream/generator.h"
+#include "streamrule/traffic_workload.h"
 
 namespace streamasp {
 namespace {
@@ -134,8 +139,7 @@ TEST_F(GrounderTest, MutualRecursionInOneComponent) {
 
 TEST_F(GrounderTest, StratifiedNegationResolvedEagerly) {
   // q is fully evaluated before p's component; `not q(X)` with underivable
-  // q(2) is erased, with derivable q(1) blocks at solve time but the
-  // simplifier already drops the satisfied-negation rule.
+  // q(2) is erased, and with certain q(1) drops the whole instance.
   const GroundProgram g = MustGround(R"(
     base(1). base(2).
     q(1).
@@ -340,6 +344,138 @@ TEST_F(GrounderTest, RepeatedVariableInOneAtom) {
   const std::set<std::string> facts = FactStrings(g);
   EXPECT_TRUE(facts.count("diag(1)"));
   EXPECT_EQ(facts.count("diag(2)"), 0u);
+}
+
+TEST_F(GrounderTest, TrafficWindowGroundsToFactsOnly) {
+  // P' is stratified: every instance over a window is certain or blocked,
+  // so the cold grounder leaves nothing for simplification or search.
+  StatusOr<Program> program =
+      MakeTrafficProgram(symbols_, TrafficProgramVariant::kPPrime);
+  ASSERT_TRUE(program.ok());
+  SyntheticStreamGenerator generator(MakeTrafficSchema(*symbols_), {});
+  DataFormatProcessor format;
+  ASSERT_TRUE(
+      format.DeclareInputPredicates(program->input_predicates()).ok());
+  StatusOr<std::vector<Atom>> facts =
+      format.ToFacts(generator.GenerateWindow(3000));
+  ASSERT_TRUE(facts.ok());
+
+  GroundingStats stats;
+  StatusOr<GroundProgram> ground = Grounder().Ground(*program, *facts, &stats);
+  ASSERT_TRUE(ground.ok()) << ground.status();
+  EXPECT_EQ(stats.num_rules, stats.num_facts);
+  EXPECT_EQ(stats.num_rules, ground->rules().size());
+  EXPECT_GT(stats.num_rules_raw, stats.num_rules);
+  for (const GroundRule& rule : ground->rules()) EXPECT_TRUE(rule.is_fact());
+
+  // The unfolded program has the same single answer set.
+  GroundingOptions raw;
+  raw.simplify = false;
+  StatusOr<GroundProgram> reference = Grounder(raw).Ground(*program, *facts);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  EXPECT_GT(reference->rules().size(), ground->rules().size());
+  auto render = [&](const GroundProgram& g) {
+    StatusOr<std::vector<AnswerSet>> models = Solver().Solve(g);
+    EXPECT_TRUE(models.ok());
+    EXPECT_EQ(models->size(), 1u);
+    std::set<std::string> atoms;
+    for (GroundAtomId id : models->front().atoms) {
+      atoms.insert(g.atoms().GetAtom(id).ToString(*symbols_));
+    }
+    return atoms;
+  };
+  const std::set<std::string> answer = render(*ground);
+  EXPECT_EQ(answer, render(*reference));
+  EXPECT_TRUE(std::any_of(answer.begin(), answer.end(), [](const auto& a) {
+    return a.rfind("give_notification(", 0) == 0;
+  })) << "need derived events for a meaningful check";
+}
+
+TEST_F(GrounderTest, CertainNegativeDropsInstanceAndLeavesHeadUninterned) {
+  const Atom p1(symbols_->Intern("p"), {Term::Integer(1)});
+  const std::string text = R"(
+    base(1). base(2).
+    q(1).
+    p(X) :- base(X), not q(X).
+    :- q(X), not base(X).
+  )";
+  const GroundProgram g = MustGround(text);
+  EXPECT_EQ(g.atoms().Lookup(p1), kInvalidGroundAtom);
+  EXPECT_EQ(FactStrings(g),
+            (std::set<std::string>{"base(1)", "base(2)", "q(1)", "p(2)"}));
+  EXPECT_EQ(last_stats_.num_rules, 4u);
+  EXPECT_EQ(last_stats_.num_constraints, 0u);
+  // Three facts, two p instances and the constraint's one instance.
+  EXPECT_EQ(last_stats_.num_rules_raw, 6u);
+
+  // Unsimplified grounding keeps the instance, so p(1) is interned.
+  GroundingOptions raw;
+  raw.simplify = false;
+  const GroundProgram unfolded = MustGround(text, raw);
+  EXPECT_NE(unfolded.atoms().Lookup(p1), kInvalidGroundAtom);
+  EXPECT_EQ(last_stats_.num_rules_raw, last_stats_.num_rules);
+}
+
+TEST_F(GrounderTest, DisjunctionsAndConstraintsNeverFold) {
+  const GroundProgram g = MustGround(R"(
+    item(1).
+    a | b.
+    good(X) | bad(X) :- item(X).
+    :- item(1).
+  )");
+  size_t disjunctive = 0;
+  for (const GroundRule& rule : g.rules()) {
+    if (rule.head.size() == 2) ++disjunctive;
+  }
+  EXPECT_EQ(disjunctive, 2u);
+  EXPECT_EQ(FactStrings(g), (std::set<std::string>{"item(1)"}));
+  // The all-certain constraint survives with an empty body.
+  EXPECT_EQ(last_stats_.num_constraints, 1u);
+  StatusOr<std::vector<AnswerSet>> models = Solver().Solve(g);
+  ASSERT_TRUE(models.ok());
+  EXPECT_TRUE(models->empty());
+}
+
+TEST_F(GrounderTest, FactsOnlyProgramYieldsExactlyOneModel) {
+  const GroundProgram g = MustGround(R"(
+    p(1). p(2).
+    q(X) :- p(X).
+  )");
+  ASSERT_EQ(last_stats_.num_rules, last_stats_.num_facts);
+  // Duplicate facts, out of id order, in a hand-built program.
+  GroundProgram duplicated(g.atoms(), {});
+  for (const GroundRule& rule : g.rules()) duplicated.AddRule(rule);
+  duplicated.AddRule(g.rules().front());
+  std::reverse(duplicated.mutable_rules().begin(),
+               duplicated.mutable_rules().end());
+  for (const bool verify : {true, false}) {
+    SolverOptions options;
+    options.verify_models = verify;
+    for (const GroundProgram* program :
+         std::vector<const GroundProgram*>{&g, &duplicated}) {
+      StatusOr<std::vector<AnswerSet>> models =
+          Solver(options).Solve(*program);
+      ASSERT_TRUE(models.ok());
+      ASSERT_EQ(models->size(), 1u) << "verify_models=" << verify;
+      const std::vector<GroundAtomId>& atoms = models->front().atoms;
+      EXPECT_EQ(atoms.size(), 4u);
+      EXPECT_TRUE(std::is_sorted(atoms.begin(), atoms.end()));
+      EXPECT_TRUE(IsStableModel(*program, atoms));
+    }
+  }
+}
+
+TEST_F(GrounderTest, RuleLimitCountsFoldedFacts) {
+  GroundingOptions options;
+  options.max_ground_rules = 1;
+  StatusOr<Program> program = parser_.ParseProgram("p(1). p(2).");
+  ASSERT_TRUE(program.ok());
+  EXPECT_EQ(Grounder(options).Ground(*program).status().code(),
+            StatusCode::kResourceExhausted);
+  std::vector<Atom> facts = {Atom(symbols_->Intern("p"), {Term::Integer(3)})};
+  options.max_ground_rules = 2;
+  EXPECT_EQ(Grounder(options).Ground(*program, facts).status().code(),
+            StatusCode::kResourceExhausted);
 }
 
 }  // namespace

@@ -140,6 +140,192 @@ TEST_P(SimplifyEquivalenceTest, SameModels) {
 INSTANTIATE_TEST_SUITE_P(RandomPrograms, SimplifyEquivalenceTest,
                          ::testing::Range<uint64_t>(0, 40));
 
+/// A seeded groundable (non-ground) program and its input facts.
+struct GroundableProgram {
+  std::string text;
+  std::vector<Atom> input_facts;
+  /// Negation only on lower strata and no disjunctive head.
+  bool stratified = true;
+  bool has_constraints = false;
+};
+
+/// Generates a small safe non-ground program over the constants 1..n
+/// (n = 4..6): input facts of v/1 and e/2, then three to five derived
+/// predicates d0, d1, ... of arity 1 or 2, predicate i forming stratum i.
+/// Rule bodies join one to three positive literals of the same or lower
+/// strata (so some rules recurse), filter with `<`/`>` comparisons and
+/// negate lower strata; some programs add constraints and program facts.
+/// One seed in four is unstratified instead: it guesses d0 against d1 on
+/// every v, its other negations may reach any derived predicate, and in
+/// half of those programs some heads are disjunctive. Disjunctive
+/// programs get the smallest domain and input and three unary derived
+/// predicates, because the solver's minimality check of a disjunctive
+/// candidate is exponential in the candidate's size.
+GroundableProgram RandomGroundableProgram(uint64_t seed,
+                                          SymbolTable& symbols) {
+  Rng rng(seed);
+  GroundableProgram out;
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng.NextBounded(n)); };
+  const size_t kind = pick(8);
+  out.stratified = kind >= 2;
+  const bool disjunctive = kind == 0;
+  const size_t domain = disjunctive ? 4 : 4 + pick(3);
+  const size_t max_inputs = disjunctive ? 2 : domain;
+  auto constant = [&] { return static_cast<int64_t>(1 + pick(domain)); };
+
+  struct Pred {
+    std::string name;
+    size_t arity;
+  };
+  std::vector<Pred> preds = {{"v", 1}, {"e", 2}};
+  const size_t num_inputs = preds.size();
+  const size_t num_derived = disjunctive ? 3 : 3 + pick(3);
+  for (size_t i = 0; i < num_derived; ++i) {
+    // Unstratified programs open on an even loop over unary d0 and d1.
+    const bool unary = disjunctive || (!out.stratified && i < 2);
+    preds.push_back({"d" + std::to_string(i), unary ? 1 : 1 + pick(2)});
+  }
+  if (!out.stratified) {
+    out.text += "d0(X) :- v(X), not d1(X).\nd1(X) :- v(X), not d0(X).\n";
+  }
+
+  for (size_t i = 0, n = 2 + pick(max_inputs); i < n; ++i) {
+    out.input_facts.push_back(
+        Atom(symbols.Intern("v"), {Term::Integer(constant())}));
+  }
+  for (size_t i = 0, n = 2 + pick(2 * max_inputs); i < n; ++i) {
+    out.input_facts.push_back(Atom(
+        symbols.Intern("e"), {Term::Integer(constant()), Term::Integer(constant())}));
+  }
+
+  static const char* const kVars[] = {"X", "Y", "Z"};
+  // An atom of `pred` whose arguments are bound variables (or constants
+  // when none is bound); `fresh` lets them introduce variables instead.
+  auto atom = [&](size_t pred, std::vector<std::string>* bound,
+                  bool fresh) {
+    std::string text = preds[pred].name + "(";
+    for (size_t a = 0; a < preds[pred].arity; ++a) {
+      if (a > 0) text += ", ";
+      if (fresh && pick(8) != 0) {
+        const std::string var = kVars[pick(3)];
+        if (std::find(bound->begin(), bound->end(), var) == bound->end()) {
+          bound->push_back(var);
+        }
+        text += var;
+      } else if (!fresh && !bound->empty()) {
+        text += (*bound)[pick(bound->size())];
+      } else {
+        text += std::to_string(constant());
+      }
+    }
+    return text + ")";
+  };
+  // A body whose positive literals lie in strata [0, positive_top] and
+  // negative ones in [negative_begin, negative_end) (none when empty).
+  auto body = [&](size_t positive_top, size_t negative_begin,
+                  size_t negative_end, std::vector<std::string>* bound) {
+    std::string text;
+    for (size_t i = 0, n = 1 + pick(3); i < n; ++i) {
+      if (i > 0) text += ", ";
+      // Half the bodies open on an input literal, so most rules fire.
+      const size_t pred = i == 0 && pick(2) == 0 ? pick(num_inputs)
+                                                 : pick(positive_top + 1);
+      text += atom(pred, bound, /*fresh=*/true);
+    }
+    if (!bound->empty() && pick(3) == 0) {
+      const std::string lhs = (*bound)[pick(bound->size())];
+      const std::string rhs = pick(2) == 0
+                                  ? (*bound)[pick(bound->size())]
+                                  : std::to_string(constant());
+      text += ", " + lhs + (pick(2) == 0 ? " < " : " > ") + rhs;
+    }
+    for (size_t i = 0, n = pick(3); negative_begin < negative_end && i < n;
+         ++i) {
+      text += ", not " + atom(negative_begin + pick(negative_end -
+                                                    negative_begin),
+                              bound, /*fresh=*/false);
+    }
+    return text;
+  };
+
+  for (size_t head = num_inputs; head < preds.size(); ++head) {
+    for (size_t r = 0, n = 1 + pick(2); r < n; ++r) {
+      std::vector<std::string> bound;
+      // Unstratified negation reaches the derived predicates only: a
+      // negated input is always resolved by the grounder.
+      const std::string rule_body =
+          out.stratified ? body(head, 0, head, &bound)
+                         : body(head, num_inputs, preds.size(), &bound);
+      std::string rule_head = atom(head, &bound, /*fresh=*/false);
+      if (disjunctive && pick(3) == 0) {
+        rule_head += " | " + atom(num_inputs + pick(num_derived), &bound,
+                                  /*fresh=*/false);
+      }
+      out.text += rule_head + " :- " + rule_body + ".\n";
+    }
+    if (pick(4) == 0) {
+      std::vector<std::string> none;
+      out.text += atom(head, &none, /*fresh=*/false) + ".\n";
+    }
+  }
+  if (pick(3) == 0) {
+    out.has_constraints = true;
+    std::vector<std::string> bound;
+    out.text +=
+        ":- " + body(preds.size() - 1, 0, preds.size(), &bound) + ".\n";
+  }
+  return out;
+}
+
+/// Simplified and raw grounding of non-ground programs describe the same
+/// answer sets; on stratified programs the simplified grounding is facts
+/// only, the grounder having folded every instance into a fact.
+class GroundableDifferentialTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(GroundableDifferentialTest, SimplifiedAndRawAgree) {
+  SymbolTablePtr symbols = MakeSymbolTable();
+  Parser parser(symbols);
+  const GroundableProgram generated =
+      RandomGroundableProgram(GetParam(), *symbols);
+  StatusOr<Program> program = parser.ParseProgram(generated.text);
+  ASSERT_TRUE(program.ok()) << program.status() << "\n" << generated.text;
+
+  auto solve_with = [&](bool simplify, GroundProgram* ground) {
+    GroundingOptions options;
+    options.simplify = simplify;
+    StatusOr<GroundProgram> grounded =
+        Grounder(options).Ground(*program, generated.input_facts);
+    EXPECT_TRUE(grounded.ok()) << grounded.status();
+    *ground = std::move(grounded).value();
+    StatusOr<std::vector<AnswerSet>> models = Solver().Solve(*ground);
+    EXPECT_TRUE(models.ok()) << models.status();
+    std::set<std::set<std::string>> out;
+    for (const AnswerSet& model : *models) {
+      std::set<std::string> atoms;
+      for (GroundAtomId id : model.atoms) {
+        atoms.insert(ground->atoms().GetAtom(id).ToString(*symbols));
+      }
+      out.insert(std::move(atoms));
+    }
+    return out;
+  };
+
+  GroundProgram simplified;
+  GroundProgram raw;
+  const auto models = solve_with(true, &simplified);
+  EXPECT_EQ(models, solve_with(false, &raw)) << generated.text;
+  if (generated.stratified && !generated.has_constraints) {
+    EXPECT_EQ(models.size(), 1u) << generated.text;
+    for (const GroundRule& rule : simplified.rules()) {
+      EXPECT_TRUE(rule.is_fact()) << generated.text;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomPrograms, GroundableDifferentialTest,
+                         ::testing::Range<uint64_t>(0, 240));
+
 /// Partitioning invariants on random windows and plans.
 class PartitioningPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 

@@ -7,6 +7,11 @@ file that does not exist, or an intra-document anchor has no matching
 heading. External (http/https/mailto) links are not fetched — CI must not
 depend on the network.
 
+Without arguments it also scans the // comments of the C++ sources
+(*.h, *.cc and *.cpp under src/, bench/, tests/ and examples/) for *.md
+names, which must resolve from the repository root: a comment that sends
+the reader to a document must name one that exists.
+
 Usage: tools/check_links.py [files...]
 """
 
@@ -18,6 +23,8 @@ import sys
 LINK_RE = re.compile(r"(?<!!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 CODE_FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
+MD_NAME_RE = re.compile(r"[\w./-]*\w\.md\b")
+SOURCE_DIRS = ("src", "bench", "tests", "examples")
 
 
 def heading_anchor(heading: str) -> str:
@@ -57,6 +64,31 @@ def check_file(path: str, repo_root: str) -> list:
     return errors
 
 
+def check_source(path: str, repo_root: str) -> list:
+    """*.md names in the // comments of one C++ source file that do not
+    resolve from the repository root."""
+    errors = []
+    with open(path, encoding="utf-8") as f:
+        for number, line in enumerate(f, 1):
+            _, slashes, comment = line.partition("//")
+            if not slashes:
+                continue
+            for name in MD_NAME_RE.findall(comment):
+                if not os.path.exists(os.path.join(repo_root, name)):
+                    rel = os.path.relpath(path, repo_root)
+                    errors.append(f"{rel}:{number}: missing document -> {name}")
+    return errors
+
+
+def source_files(repo_root: str) -> list:
+    files = []
+    for directory in SOURCE_DIRS:
+        for pattern in ("*.h", "*.cc", "*.cpp"):
+            files += glob.glob(os.path.join(repo_root, directory, "**", pattern),
+                               recursive=True)
+    return sorted(files)
+
+
 def main(argv: list) -> int:
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     if argv:
@@ -75,6 +107,10 @@ def main(argv: list) -> int:
             continue
         checked += 1
         errors.extend(check_file(path, repo_root))
+    if not argv:
+        for path in source_files(repo_root):
+            checked += 1
+            errors.extend(check_source(path, repo_root))
     for error in errors:
         print(error, file=sys.stderr)
     print(f"check_links: {checked} file(s), {len(errors)} problem(s)")
