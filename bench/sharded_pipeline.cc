@@ -194,9 +194,10 @@ BenchRun RunShardedBurstOverload(const Program& program,
 // joins are lost), but both legs route identically, so the cold-vs-reuse
 // reason_ms_total ratio the CI gate consumes is well-defined — it
 // isolates what router delta punctuation saves the per-shard caches.
-// Inner pipelines run synchronously (reasoning on the feeder threads):
-// one ParallelReasoner per shard sees every sub-window consecutively,
-// which is the configuration the incremental caches are built for.
+// Inner pipelines run synchronously (the shards reason one after another
+// on the caller thread): one ParallelReasoner per shard sees every
+// sub-window consecutively, which is the configuration the incremental
+// caches are built for.
 constexpr char kReachProgram[] = R"(
   #input link/2.
   #input high/1.

@@ -59,9 +59,6 @@ Status ApplyOpenOption(std::string_view key, std::string_view value,
   } else if (key == "workers") {
     STREAMASP_RETURN_IF_ERROR(require_count("workers"));
     options->engine.pipeline.num_reason_workers = static_cast<size_t>(number);
-  } else if (key == "batch") {
-    STREAMASP_RETURN_IF_ERROR(require_count("batch"));
-    options->engine.router_batch_size = static_cast<size_t>(number);
   } else if (key == "queue") {
     STREAMASP_RETURN_IF_ERROR(require_count("queue"));
     options->ingest_queue_capacity = static_cast<size_t>(number);

@@ -27,7 +27,7 @@ namespace streamasp {
 ///
 /// open options: window=N slide=N shards=N async=0|1 inflight=N
 ///   workers=N reuse=none|ground|solve queue=N admission=block|reject
-///   batch=N weight=N max_queued=N max_inflight=N v=N
+///   weight=N max_queued=N max_inflight=N v=N
 ///
 /// Versioning: `v=N` on open declares the client's protocol version.
 /// The server rejects versions it does not speak (code=

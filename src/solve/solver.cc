@@ -112,9 +112,11 @@ std::vector<bool> LeastModel(const GroundProgram& program,
 }
 
 /// Searches for a model M' of the (disjunctive, definite) reduct that is a
-/// proper subset of `model`. Atoms outside `model` are fixed false.
-/// Exponential in |model| in the worst case; only reached for disjunctive
-/// programs.
+/// proper subset of `model`. Atoms outside `model` are fixed false. Each
+/// enabled rule is checked as soon as its last in-model atom is assigned,
+/// so a violated rule cuts the branch there instead of at a full
+/// assignment. Still exponential in |model| in the worst case; only
+/// reached for disjunctive programs.
 class ProperSubmodelSearch {
  public:
   ProperSubmodelSearch(const GroundProgram& program,
@@ -129,54 +131,64 @@ class ProperSubmodelSearch {
     for (size_t i = 0; i < model_.size(); ++i) {
       index_of_[model_[i]] = static_cast<int32_t>(i);
     }
+    // Bucket every rule some M' could violate by the largest model index
+    // among its atoms: once that atom is assigned, the rule is decided. A
+    // rule with a positive body atom outside the model holds in every M'.
+    rules_at_.assign(model_.size(), {});
+    for (uint32_t r = 0; r < program_.rules().size(); ++r) {
+      if (!rule_enabled_[r]) continue;
+      const GroundRule& rule = program_.rules()[r];
+      int32_t last = -1;
+      bool body_in_model = true;
+      for (GroundAtomId a : rule.positive_body) {
+        if (index_of_[a] < 0) {
+          body_in_model = false;
+          break;
+        }
+        last = std::max(last, index_of_[a]);
+      }
+      if (!body_in_model) continue;
+      for (GroundAtomId h : rule.head) last = std::max(last, index_of_[h]);
+      // No atom in the model: the body holds and the head fails in every
+      // M', so there is no submodel at all.
+      if (last < 0) return false;
+      rules_at_[last].push_back(r);
+    }
     return Rec(0);
   }
 
  private:
-  bool SatisfiesAllRulesIfComplete() {
-    // All atoms decided; check every enabled reduct rule: positive body
-    // within M' implies some head atom in M'.
-    for (uint32_t r = 0; r < program_.rules().size(); ++r) {
-      if (!rule_enabled_[r]) continue;
-      const GroundRule& rule = program_.rules()[r];
-      bool body_holds = true;
-      for (GroundAtomId a : rule.positive_body) {
-        const int32_t i = index_of_[a];
-        if (i < 0 || assignment_[i] != Val::kTrue) {
-          body_holds = false;
-          break;
-        }
-      }
-      if (!body_holds) continue;
-      bool head_holds = false;
-      for (GroundAtomId h : rule.head) {
-        const int32_t i = index_of_[h];
-        if (i >= 0 && assignment_[i] == Val::kTrue) {
-          head_holds = true;
-          break;
-        }
-      }
-      if (!head_holds) return false;  // Constraint or unsatisfied head.
+  /// True when M' (decided on all of `rule`'s in-model atoms) makes the
+  /// positive body true and every head atom false.
+  bool Violated(const GroundRule& rule) const {
+    for (GroundAtomId a : rule.positive_body) {
+      if (assignment_[index_of_[a]] != Val::kTrue) return false;
+    }
+    for (GroundAtomId h : rule.head) {
+      const int32_t i = index_of_[h];
+      if (i >= 0 && assignment_[i] == Val::kTrue) return false;
     }
     return true;
   }
 
   bool Rec(size_t next) {
     if (next == model_.size()) {
-      bool proper = false;
-      for (Val v : assignment_) {
-        if (v == Val::kFalse) {
-          proper = true;
+      // Every rule was checked at its bucket; only properness is left.
+      return std::find(assignment_.begin(), assignment_.end(),
+                       Val::kFalse) != assignment_.end();
+    }
+    // Prefer false — we are hunting for a smaller model.
+    for (Val value : {Val::kFalse, Val::kTrue}) {
+      assignment_[next] = value;
+      bool consistent = true;
+      for (uint32_t r : rules_at_[next]) {
+        if (Violated(program_.rules()[r])) {
+          consistent = false;
           break;
         }
       }
-      return proper && SatisfiesAllRulesIfComplete();
+      if (consistent && Rec(next + 1)) return true;
     }
-    // Prefer false — we are hunting for a smaller model.
-    assignment_[next] = Val::kFalse;
-    if (Rec(next + 1)) return true;
-    assignment_[next] = Val::kTrue;
-    if (Rec(next + 1)) return true;
     assignment_[next] = Val::kUnknown;
     return false;
   }
@@ -186,6 +198,8 @@ class ProperSubmodelSearch {
   const std::vector<GroundAtomId>& model_;
   std::vector<Val> assignment_;
   std::vector<int32_t> index_of_;
+  /// rules_at_[i]: rules whose largest in-model atom index is i.
+  std::vector<std::vector<uint32_t>> rules_at_;
 };
 
 }  // namespace

@@ -43,7 +43,7 @@ double CompletenessRatio(uint64_t items_reasoned, uint64_t items_admitted);
 /// Streaming accumulator for the exact completeness of a (sub)stream:
 /// feed each window's reasoned/admitted counts, read back the item-
 /// weighted aggregate. Used per shard (PipelineStats) and across the
-/// merge (ShardedPipelineStats); the item weighting makes shard
+/// merge (EngineStats); the item weighting makes shard
 /// aggregates compose — summing the shards' tallies and ratioing equals
 /// ratioing the merged stream.
 struct CompletenessTally {

@@ -33,9 +33,8 @@ struct EmissionEvent {
   uint64_t sequence = 0;
 
   /// The emitted window. Owned by the delivering thread and discarded
-  /// right after the handler returns, so handlers may steal its contents
-  /// (which is how the sharded engine forwards sub-windows to its merge
-  /// stage without copying). Never null during delivery.
+  /// right after the handler returns, so handlers may steal its contents.
+  /// Never null during delivery.
   TripleWindow* window = nullptr;
 
   /// kResult only: the (possibly cross-shard merged) reasoning result.
@@ -52,7 +51,8 @@ struct EmissionEvent {
 
 /// Single ordered emission callback. Same contract as the callback trio it
 /// replaces: runs on the caller thread (sync), the thread holding the
-/// pipeline's drain baton (async) or the merge thread (sharded), never
+/// pipeline's drain baton (async) or the thread holding the sharded
+/// engine's merge baton (whichever completed the global window), never
 /// concurrently with itself, and must not call back into Push/Flush on
 /// the emitting engine.
 using EmissionHandler = std::function<void(EmissionEvent&)>;

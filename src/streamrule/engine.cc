@@ -59,31 +59,12 @@ size_t StreamEngine::num_reason_workers() const {
 }
 
 EngineStats StreamEngine::stats() const {
+  if (sharded_ != nullptr) return sharded_->stats();
   EngineStats out;
-  if (pipeline_ != nullptr) {
-    out.reasoning = pipeline_->stats();
-    out.delivered_windows = out.reasoning.windows;
-    out.delivered_answers = out.reasoning.answers;
-    out.delivery_errors = out.reasoning.errors;
-    return out;
-  }
-  const ShardedPipelineStats sharded = sharded_->stats();
-  out.num_shards = sharded_->num_shards();
-  out.reasoning = sharded.aggregate;
-  out.per_shard = sharded.per_shard;
-  out.routed_items = sharded.routed_items;
-  out.filtered_items = sharded.filtered_items;
-  out.delivered_windows = sharded.merged_windows;
-  out.delivered_answers = sharded.merged_answers;
-  out.delivery_errors = sharded.merge_errors;
-  out.max_merge_queue_depth = sharded.max_merge_queue_depth;
-  out.max_merge_reorder_depth = sharded.max_merge_reorder_depth;
-  out.delta_punctuations = sharded.delta_punctuations;
-  out.skipped_empty_slices = sharded.skipped_empty_slices;
-  out.shed_subwindows = sharded.shed_subwindows;
-  out.degraded_windows = sharded.degraded_windows;
-  out.mean_completeness = sharded.mean_completeness;
-  out.min_completeness = sharded.min_completeness;
+  out.reasoning = pipeline_->stats();
+  out.delivered_windows = out.reasoning.windows;
+  out.delivered_answers = out.reasoning.answers;
+  out.delivery_errors = out.reasoning.errors;
   return out;
 }
 

@@ -17,14 +17,13 @@ namespace streamasp {
 ///     merge around one shard — distinct from num_shards == 0, which has
 ///     neither).
 /// ShardedPipelineEngine::Create takes the same type and requires
-/// num_shards >= 1. The sharded knobs below num_shards are ignored when
-/// it is 0.
+/// num_shards >= 1. shard_key is ignored when num_shards is 0.
 struct EngineConfig {
   /// 0 = unsharded single pipeline; >= 1 = sharded engine with that many
   /// independent shard pipelines. Each shard owns a full
-  /// StreamRulePipeline (windower + reasoner machinery) plus one feeder
-  /// thread, so the stream is windowed on num_shards threads instead of
-  /// one.
+  /// StreamRulePipeline (windower + reasoner machinery); the engine adds
+  /// no threads: the router windows every shard on the caller thread and
+  /// the merge runs on whichever thread completes a global window.
   size_t num_shards = 0;
 
   /// Partition key (sharded only; see stream/shard_key.h). null uses
@@ -41,20 +40,6 @@ struct EngineConfig {
   /// window accounting and the merged window count — replicas are pure
   /// reasoning context.
   ShardKeyExtractor shard_key;
-
-  /// Items buffered per shard before the router hands them to the shard's
-  /// feeder as one batch (sharded only; amortizes queue crossings). Global
-  /// window boundaries always cut a batch regardless of fill.
-  size_t router_batch_size = 256;
-
-  /// Capacity of each shard's feeder command queue (sharded only): batches
-  /// + punctuation in flight between the router and that shard. Always
-  /// lossless (kBlock): a full feeder queue backpressures the router.
-  size_t feeder_queue_capacity = 8;
-
-  /// Capacity of the merge queue between the shard pipelines' deliveries
-  /// and the merge thread (sharded only). 0 picks max(8, 2 * num_shards).
-  size_t merge_queue_capacity = 0;
 
   /// The per-pipeline configuration every shape shares: window geometry,
   /// reuse flags, async staging, backpressure, admission filter, reasoner

@@ -299,8 +299,7 @@ class StreamRulePipeline {
   /// window is owned by the delivering thread and discarded right after
   /// the callback returns, so the callback is handed a mutable reference
   /// and may steal the window's contents (lambdas taking
-  /// `const TripleWindow&` bind as usual) — which is how the sharded
-  /// engine forwards sub-windows to its merge stage without copying.
+  /// `const TripleWindow&` bind as usual).
   using ResultCallback = std::function<void(
       TripleWindow&, const ParallelReasonerResult&)>;
 

@@ -2,101 +2,36 @@
 #define STREAMASP_STREAMRULE_SHARDED_PIPELINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <thread>
-#include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "stream/shard_key.h"
 #include "stream/window_store.h"
 #include "streamrule/engine_config.h"
+#include "streamrule/engine_stats.h"
 #include "streamrule/pipeline.h"
-#include "util/bounded_queue.h"
 
 namespace streamasp {
-
-/// Statistics of the sharded engine: the per-shard PipelineStats, their
-/// aggregate, and the router/merge counters. Snapshots are returned by
-/// value from ShardedPipelineEngine::stats(), safe from any thread.
-struct ShardedPipelineStats {
-  /// Field-wise sum (max for the high-water marks) over per_shard. Note
-  /// `answers` counts per-shard sub-window answers before merging;
-  /// `merged_answers` counts what consumers actually saw.
-  PipelineStats aggregate;
-  std::vector<PipelineStats> per_shard;
-
-  /// Items routed to each shard (post-filter). Includes broadcast
-  /// replicas, so with duplicated predicates the sum across shards
-  /// exceeds the number of pushed items by exactly broadcast_copies.
-  std::vector<uint64_t> routed_items;
-  /// Items the router dropped because their predicate is not declared as
-  /// an input of the program.
-  uint64_t filtered_items = 0;
-  /// Extra per-shard copies fanned out for duplicated predicates (the
-  /// owner's copy is not counted). Zero when the plan has no duplicated
-  /// predicates or the engine runs a single shard.
-  uint64_t broadcast_copies = 0;
-
-  /// Global windows delivered to the callback.
-  uint64_t merged_windows = 0;
-  /// Answers delivered to the callback (after cross-shard combining).
-  uint64_t merged_answers = 0;
-  /// Global windows suppressed because a shard sub-window failed (the
-  /// per-shard error is also counted in aggregate.errors) or because the
-  /// result callback threw.
-  uint64_t merge_errors = 0;
-  /// High-water mark of the merge queue.
-  size_t max_merge_queue_depth = 0;
-  /// High-water mark of global windows buffered in the merge reorder
-  /// stage (complete or partially assembled).
-  size_t max_merge_reorder_depth = 0;
-
-  // --- sliding-router counters (zero for tumbling global windows) ---
-  /// Delta punctuations delivered to shards (boundary × contributing
-  /// shard pairs).
-  uint64_t delta_punctuations = 0;
-  /// Boundary × shard pairs where a shard with *pending deltas* was
-  /// skipped because its slice of the global window was empty; the
-  /// folded deltas are delivered with its next punctuation. (A shard the
-  /// key never routes to is skipped silently — it has nothing to fold.)
-  uint64_t skipped_empty_slices = 0;
-
-  // --- graceful-degradation counters (all zero / 1.0 unless a lossy
-  // backpressure policy or admission filter actually shed work) ---
-  /// Shard sub-windows that were shed (tombstoned) instead of reasoned.
-  /// Also reflected item-wise in aggregate.shed_items.
-  uint64_t shed_subwindows = 0;
-  /// Merged windows delivered with completeness < 1.0 (at least one shed
-  /// contribution).
-  uint64_t degraded_windows = 0;
-  /// Mean per-window completeness (items reasoned / items admitted,
-  /// accuracy.h CompletenessRatio) over delivered merged windows; exactly
-  /// 1.0 when nothing was shed.
-  double mean_completeness = 1.0;
-  /// Worst per-window completeness observed; exactly 1.0 when nothing
-  /// was shed.
-  double min_completeness = 1.0;
-};
 
 /// Horizontal scale-out of the staged engine: hash-partitions the input
 /// stream across `num_shards` independent StreamRulePipeline instances and
 /// globally merges their emissions back into strict window-sequence order.
+/// The engine owns no threads; only its shards' reasoner pools run.
 ///
-///   caller thread:  filter ─► shard key ─► router (global window count)
-///        │ per-shard BoundedQueue<ShardCommand> (batches + punctuation)
+///   caller thread:  filter ─► shard key ─► router (global window count,
+///        │          records each global window's items)
+///        │ shard pipeline Push / CloseWindow, called directly
 ///        ▼
-///   feeder threads: shard pipeline Push / CloseWindow   × num_shards
-///        │ each shard: windower ─► pool tasks ─► ordered drain
+///   shard pipelines: windower ─► pool tasks ─► ordered drain   × num_shards
+///        │ each delivery parks its contribution in the reorder map
 ///        ▼
-///   merge thread:   BoundedQueue<MergeItem> ─► reorder by global window
-///                   ─► combine shard answers ─► ResultCallback
+///   merge baton:    whichever delivering thread finds no active merger
+///                   ─► combine shard answers ─► handler, in global order
 ///
 /// Window semantics: the router counts surviving items and punctuates
 /// every shard after each window_size-th item, so global window g is the
@@ -109,9 +44,9 @@ struct ShardedPipelineStats {
 /// emit delta-carrying sliding sub-windows and the incremental
 /// grounding/solving caches stay warm across overlapping global windows
 /// (shards whose slice is empty are skipped; their deltas fold into the
-/// next punctuation). The merge stage combines the sub-window answers
-/// with the paper's combining-handler semantics (one pick per shard,
-/// unioned; CombiningHandler), which makes the delivered answers
+/// next punctuation). The merge combines the sub-window answers with the
+/// paper's combining-handler semantics (one pick per shard, unioned;
+/// CombiningHandler), which makes the delivered answers
 /// *shard-count-invariant and byte-identical to the synchronous oracle*
 /// whenever the shard key respects the program's input dependencies.
 /// This is the paper's input-dependency partitioning lifted from intra-
@@ -124,40 +59,42 @@ struct ShardedPipelineStats {
 /// *owning* shard (its hash); replicas never count toward global window
 /// boundaries, the merged window's items, or completeness.
 ///
-/// Ordering guarantee: the callback runs on the single merge thread, once
-/// per global window, in strictly increasing global sequence order, no
-/// matter how shards race. Reasoning failures consume their slot (the
-/// window is skipped and counted, never reordered or stalled on), and so
-/// do shed sub-windows: a shard that sheds a sub-window emits a tombstone
-/// in its ordered stream, the merge counts it as that shard's
-/// contribution, and the global window is delivered with the surviving
-/// shards' answers and completeness < 1 — overload degrades answers, it
-/// never stalls or reorders the merge.
+/// Ordering guarantee: the handler runs once per global window, in
+/// strictly increasing global sequence order, one delivery at a time, on
+/// whichever thread completes the next global window (a shard's pool
+/// worker, or the caller thread for synchronous shards or a shard
+/// shedding inside Push) — the drain-baton pattern of
+/// StreamRulePipeline. Reasoning failures consume their slot (the window
+/// is skipped and counted, never reordered or stalled on), and so do shed
+/// sub-windows: a shard that sheds a sub-window emits a tombstone in its
+/// ordered stream, the merge counts it as that shard's contribution, and
+/// the global window is delivered with the surviving shards' answers and
+/// completeness < 1 — overload degrades answers, it never stalls or
+/// reorders the merge.
+///
+/// With pipeline.async == false the shards reason one after another on
+/// the caller thread, like the unsharded synchronous oracle.
 ///
 /// Thread-safety: Push/PushBatch/Flush single caller thread at a time;
-/// stats()/accessors any thread. The callback must not re-enter the
-/// engine. Internally every wait is on the stage one level downstream
-/// (router → feeder queues → shard pipelines → merge queue), so no stage
-/// ever waits on its own stage — the same no-nested-wait discipline as
-/// ThreadPool (see util/thread_pool.h).
+/// stats()/accessors any thread. The handler must not re-enter the
+/// engine. No lock is held while the router calls into a shard, because
+/// a synchronous shard delivers (and so re-enters the merge) on the same
+/// thread.
 ///
-/// The merged TripleWindow holds the global window's items grouped by
-/// shard (shard 0's slice first), not in original stream arrival order;
-/// sizes and sequences match the unsharded pipeline exactly (broadcast
-/// replicas are skipped at the merge — only the owning shard's copy of a
-/// duplicated-predicate item lands in the merged window).
+/// The merged TripleWindow holds the global window's items in stream
+/// arrival order, as the unsharded pipeline does (only the owning shard's
+/// copy of a duplicated-predicate item counts).
 class ShardedPipelineEngine {
  public:
   using ResultCallback = StreamRulePipeline::ResultCallback;
 
   /// Builds num_shards pipelines over `program` (one design-time analysis
-  /// each; `program` must outlive the engine) and starts the feeder and
-  /// merge threads, delivering every merged global window as one ordered
-  /// EmissionEvent on the merge thread: kResult for a combined window
-  /// (completeness < 1 when shed shard contributions degraded it — a
-  /// fully shed window still delivers kResult with zero answers), kError
-  /// when a shard sub-window failed or cross-shard combining did (the
-  /// slot is consumed, never stalled on). The engine itself emits no
+  /// each; `program` must outlive the engine), delivering every merged
+  /// global window as one ordered EmissionEvent: kResult for a combined
+  /// window (completeness < 1 when shed shard contributions degraded it —
+  /// a fully shed window still delivers kResult with zero answers),
+  /// kError when a shard sub-window failed or cross-shard combining did
+  /// (the slot is consumed, never stalled on). The engine itself emits no
   /// kShed events: shard-level tombstones are absorbed into the merged
   /// window's completeness. Fails on a null program/handler or options
   /// the shared validator rejects (zero shards, lossy backpressure on
@@ -167,20 +104,20 @@ class ShardedPipelineEngine {
       EmissionHandler handler);
 
   /// Result-callback adapter over the handler surface: kError events are
-  /// logged + counted only (merge_errors), exactly the pre-handler
+  /// logged + counted only (delivery_errors), exactly the pre-handler
   /// behavior.
   static StatusOr<std::unique_ptr<ShardedPipelineEngine>> Create(
       const Program* program, EngineConfig options,
       ResultCallback callback);
 
   /// Drains every admitted global window (without flushing a partial
-  /// one), then stops feeders, shard pipelines and the merge thread.
+  /// one): each shard's destructor drains its punctuated sub-windows.
   ~ShardedPipelineEngine();
 
   ShardedPipelineEngine(const ShardedPipelineEngine&) = delete;
   ShardedPipelineEngine& operator=(const ShardedPipelineEngine&) = delete;
 
-  /// Routes one raw stream item. May block when a downstream stage is
+  /// Routes one raw stream item. May block when a shard's work queue is
   /// saturated (lossless backpressure all the way to the caller).
   void Push(const Triple& triple);
 
@@ -193,7 +130,7 @@ class ShardedPipelineEngine {
   void Flush();
 
   /// Thread-safe snapshot across all shards plus router/merge counters.
-  ShardedPipelineStats stats() const;
+  EngineStats stats() const;
 
   size_t num_shards() const { return shards_.size(); }
 
@@ -203,33 +140,21 @@ class ShardedPipelineEngine {
   }
 
  private:
-  /// One unit of work for a shard's feeder thread: items to push, then
-  /// optionally a window-close (global boundary punctuation — carrying
-  /// the shard's delta under sliding global windows), then optionally a
-  /// flush-and-acknowledge barrier.
-  struct ShardCommand {
-    std::vector<Triple> batch;
-    bool close_window = false;
-    std::optional<WindowDelta> delta;  ///< Sliding punctuation payload.
-    bool flush = false;
-  };
-
-  /// One shard's reasoned sub-window travelling to the merge thread — or
-  /// its tombstone: a shed sub-window travels with shed == true, its
-  /// items intact (the merge accounts them as admitted-but-unreasoned)
-  /// and `result` untouched.
-  struct MergeItem {
-    uint64_t global_sequence = 0;
+  /// One shard's reasoned sub-window, or its tombstone (shed == true,
+  /// `result` untouched).
+  struct Contribution {
     size_t shard = 0;
     bool shed = false;
-    TripleWindow window;
     StatusOr<ParallelReasonerResult> result{InternalError("not run")};
   };
 
-  /// A global window being reassembled from its shard contributions.
-  struct PendingMerge {
-    std::vector<MergeItem> contributions;
-    uint32_t expected = 0;
+  /// A global window from its boundary to its delivery: what the router
+  /// recorded, and the shard contributions parked so far.
+  struct GlobalWindow {
+    std::vector<Triple> items;  ///< Owned items, stream arrival order.
+    std::vector<size_t> owned;  ///< Items of `items` each shard owns.
+    uint32_t expected = 0;      ///< Shards punctuated for this window.
+    std::vector<Contribution> contributions;
   };
 
   ShardedPipelineEngine(const Program* program,
@@ -238,37 +163,21 @@ class ShardedPipelineEngine {
 
   Status StartShards();
   bool sliding() const { return slide_ < window_size_; }
-  /// True when `triple` sits in shard `shard`'s sub-window only as a
-  /// broadcast replica of a duplicated predicate (its owning shard is a
-  /// different one). Pure in (triple, shard), so the merge can recompute
-  /// ownership instead of tagging items in flight.
-  bool IsReplica(const Triple& triple, size_t shard) const;
   /// Routes one pre-filtered item (caller thread).
   void Route(const Triple& triple);
-  /// Cuts the current tumbling global window: assigns the next global
-  /// sequence, records the expected contributors, punctuates their
-  /// feeders.
+  /// Cuts the current global window: assigns the next global sequence,
+  /// records its items and expected contributors, then punctuates every
+  /// shard holding a slice of it (sliding: each close carries the shard's
+  /// accumulated expired/admitted delta).
   void CloseGlobalWindow();
-  /// Sliding counterpart: punctuates every shard with a non-empty slice
-  /// of the retained global window, each close carrying the shard's
-  /// accumulated expired/admitted delta.
-  void CloseGlobalSlidingWindow();
-  /// Hands a shard's pending batch to its feeder (with optional close;
-  /// a non-null delta makes the close a sliding delta punctuation).
-  void DispatchBatch(size_t shard, bool close_window,
-                     std::optional<WindowDelta> delta = std::nullopt);
-  void FeederLoop(size_t shard);
-  /// Shard deliveries funnel here (success and error alike); the
-  /// sub-window's items are stolen, not copied (see ResultCallback).
-  void OnShardDelivery(size_t shard, TripleWindow& window,
-                       StatusOr<ParallelReasonerResult> result);
-  /// Shard shed (tombstone) callbacks funnel here: releases the shed
-  /// sub-window's merge slot so the global window assembles without it.
-  void OnShardShed(size_t shard, TripleWindow& window);
-  void MergeLoop();
-  /// Assembles and delivers one complete global window (merge thread).
-  void DeliverMerged(uint64_t global_sequence,
-                     std::vector<MergeItem> contributions);
+  /// Shard emissions funnel here (result, error and tombstone alike):
+  /// parks the contribution, then delivers every complete in-order global
+  /// window unless another thread already holds the merge baton.
+  void Contribute(Contribution contribution);
+  /// Combines and delivers one complete global window. Called and returns
+  /// with `lock` (on merge_mutex_) held; releases it around the handler.
+  void DeliverMerged(uint64_t global_sequence, GlobalWindow& window,
+                     std::unique_lock<std::mutex>& lock);
 
   const Program* program_;
   EngineConfig options_;
@@ -283,20 +192,24 @@ class ShardedPipelineEngine {
   size_t slide_ = 1;  ///< Global slide; == window_size_ for tumbling.
 
   // --- router state (caller thread only) ---
-  std::vector<std::vector<Triple>> batches_;    ///< Per-shard micro-batch.
-  std::vector<size_t> pending_in_window_;  ///< Per-shard items this window.
-  size_t window_fill_ = 0;       ///< Items routed since the last boundary.
+  /// Per shard: items (replicas included) of the current global window —
+  /// routed since the last boundary when tumbling, retained when sliding.
+  /// A shard with a non-zero count is punctuated at the boundary.
+  std::vector<size_t> slice_count_;
+  /// Per shard: owned items of the current global window.
+  std::vector<size_t> owned_;
+  /// Tumbling: owned items routed since the last boundary, in order.
+  std::vector<Triple> window_items_;
   uint64_t next_global_sequence_ = 0;
 
-  // --- sliding router state (caller thread only; untouched when
-  // tumbling). The retained global window is a columnar WindowStore with
-  // a shard-assignment column; eviction in global arrival order keeps
-  // every per-shard expired list a prefix of that shard's retained
-  // sub-stream. ---
+  // --- sliding router state (untouched when tumbling). The retained
+  // global window is a columnar WindowStore whose shard column holds the
+  // owning shard, tagged kBroadcastBit for a broadcast item; eviction in
+  // global arrival order keeps every per-shard expired list a prefix of
+  // that shard's retained sub-stream. ---
   WindowStore global_window_{WindowStore::Options{/*with_shards=*/true}};
   std::vector<std::vector<Triple>> pending_expired_;   ///< Per shard.
   std::vector<std::vector<Triple>> pending_admitted_;  ///< Per shard.
-  std::vector<size_t> slice_count_;  ///< Retained items per shard.
   size_t arrivals_since_emit_ = 0;
   bool emitted_once_ = false;
 
@@ -305,7 +218,6 @@ class ShardedPipelineEngine {
   // lock on the per-item routing hot path) ---
   std::vector<std::atomic<uint64_t>> routed_items_;
   std::atomic<uint64_t> filtered_items_{0};
-  std::atomic<uint64_t> broadcast_copies_{0};
   std::atomic<uint64_t> delta_punctuations_{0};
   std::atomic<uint64_t> skipped_empty_slices_{0};
   /// Peak bytes of the router's retained global WindowStore, published on
@@ -313,31 +225,20 @@ class ShardedPipelineEngine {
   /// global_window_ itself — it races the router).
   std::atomic<size_t> router_window_bytes_{0};
 
-  // --- shards ---
   std::vector<std::unique_ptr<StreamRulePipeline>> shards_;
-  std::vector<std::unique_ptr<BoundedQueue<ShardCommand>>> feeder_queues_;
-  std::vector<std::thread> feeders_;
 
-  /// Per-shard FIFO of global sequences, one entry per punctuated
-  /// sub-window: the router appends before punctuating, the shard's
-  /// delivery pops (deliveries are in local window order).
-  std::mutex mapping_mutex_;
-  std::vector<std::deque<uint64_t>> global_sequence_of_;
-
-  /// Feeder flush barrier.
-  std::mutex flush_mutex_;
-  std::condition_variable flush_cv_;
-  size_t flush_acks_ = 0;
-
-  // --- merge stage ---
-  std::unique_ptr<BoundedQueue<MergeItem>> merge_queue_;
-  std::thread merger_;
+  // --- merge state (guarded by merge_mutex_) ---
   mutable std::mutex merge_mutex_;
-  std::condition_variable merge_drained_cv_;  ///< Wakes Flush waiters.
-  /// Expected contribution count per assigned global window.
-  std::unordered_map<uint64_t, uint32_t> expected_;
+  /// Per shard: FIFO of the global sequences it was punctuated for. The
+  /// router appends before punctuating; the shard's emissions pop (they
+  /// arrive in local window order).
+  std::vector<std::deque<uint64_t>> global_sequence_of_;
+  /// Assigned, undelivered global windows by sequence.
+  std::map<uint64_t, GlobalWindow> windows_;
+  bool merging_ = false;  ///< Merge baton: a thread is delivering.
+  size_t parked_windows_ = 0;  ///< Windows in windows_ with contributions.
   uint64_t assigned_windows_ = 0;   ///< Global sequences handed out.
-  uint64_t delivered_windows_ = 0;  ///< Callback slots consumed (ok + err).
+  uint64_t delivered_windows_ = 0;  ///< Handler slots consumed (ok + err).
   uint64_t merged_windows_ = 0;
   uint64_t merged_answers_ = 0;
   uint64_t merge_errors_ = 0;

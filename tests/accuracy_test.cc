@@ -1,7 +1,7 @@
 // Unit tests for the streamrule/accuracy harness: the paper's answer
 // accuracy measure plus the graceful-degradation completeness estimators
 // the overload path (tombstone shedding) reports through PipelineStats
-// and ShardedPipelineStats. These pin the estimator's conventions —
+// and EngineStats. These pin the estimator's conventions —
 // especially the degenerate empty-window and full-shed cases — so a
 // regression here is caught independently of the pipelines that consume
 // the numbers.
@@ -143,7 +143,7 @@ TEST_F(AccuracyTest, TallyOfEmptyStreamIsOne) {
 
 TEST_F(AccuracyTest, TallyComposesAcrossShards) {
   // Summing per-shard tallies then ratioing == ratioing the merged
-  // stream — the property that lets ShardedPipelineStats aggregate
+  // stream — the property that lets EngineStats aggregate
   // PipelineStats without re-walking windows.
   CompletenessTally shard_a, shard_b, merged;
   shard_a.Record(80, 100);

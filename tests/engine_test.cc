@@ -328,10 +328,11 @@ TEST_F(EngineTest, ShardedFacadeMatchesUnshardedAnswers) {
 }
 
 TEST_F(EngineTest, StandaloneAsyncEnginesOwnOnlyTheirPoolThreads) {
-  // Async reasoning runs on each pipeline's private reasoner pool and
-  // delivery rides the drain baton, so a standalone engine's threads are
-  // exactly: its pool threads, plus one feeder per shard and the merger
-  // when sharded. reasoner.num_threads = 1 keeps inner pools out of it.
+  // Async reasoning runs on each pipeline's private reasoner pool,
+  // delivery rides the drain baton and the sharded router and merge run
+  // on the caller and pool threads, so a standalone engine's threads are
+  // exactly its pool threads, sharded or not. reasoner.num_threads = 1
+  // keeps inner pools out of it.
   // A throwaway thread first absorbs any helper thread a sanitizer runtime
   // starts on the first pthread_create.
   std::thread([] {}).join();
@@ -343,7 +344,7 @@ TEST_F(EngineTest, StandaloneAsyncEnginesOwnOnlyTheirPoolThreads) {
   };
   const Shape kShapes[] = {
       {"async, 2 workers", 0, 2, 2},
-      {"sharded 2 x 1 worker", 2, 1, 2 + 1 + 2},
+      {"sharded 2 x 1 worker", 2, 1, 2},
   };
   for (const Shape& shape : kShapes) {
     SCOPED_TRACE(shape.name);

@@ -73,7 +73,7 @@ class GroundingReuseTest : public ::testing::Test {
   std::string ShardedTranscript(const Program& program,
                                 EngineConfig options,
                                 const std::vector<Triple>& stream,
-                                ShardedPipelineStats* stats_out = nullptr) {
+                                EngineStats* stats_out = nullptr) {
     std::string transcript;
     StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
         ShardedPipelineEngine::Create(
@@ -193,14 +193,14 @@ TEST_F(GroundingReuseTest, ShardedEngineMatchesWithAndWithoutReuse) {
     reuse.pipeline.reuse_grounding = true;
 
     const std::string want = ShardedTranscript(program, base, stream);
-    ShardedPipelineStats reuse_stats;
+    EngineStats reuse_stats;
     const std::string got =
         ShardedTranscript(program, reuse, stream, &reuse_stats);
     EXPECT_FALSE(want.empty());
     EXPECT_EQ(want, got);
     // Tumbling global windows: the cache sees disjoint content and must
     // degrade to (correct) full re-groundings, never corrupt answers.
-    EXPECT_GT(reuse_stats.aggregate.grounding_fallbacks, 0u);
+    EXPECT_GT(reuse_stats.reasoning.grounding_fallbacks, 0u);
   }
 }
 
@@ -225,11 +225,11 @@ TEST_F(GroundingReuseTest, ShardedSlidingWindowsKeepGroundingReuseIncremental) {
     options.pipeline.window_size = 150;
     options.pipeline.window_slide = 30;
     options.pipeline.reuse_grounding = true;
-    ShardedPipelineStats stats;
+    EngineStats stats;
     EXPECT_EQ(ShardedTranscript(program, options, stream, &stats), want);
     EXPECT_GT(stats.delta_punctuations, 0u);
-    EXPECT_GT(stats.aggregate.incremental_windows, 0u);
-    EXPECT_GT(stats.aggregate.grounding_rules_retained, 0u);
+    EXPECT_GT(stats.reasoning.incremental_windows, 0u);
+    EXPECT_GT(stats.reasoning.grounding_rules_retained, 0u);
   }
 }
 

@@ -157,17 +157,17 @@ TEST_F(OverloadTest, RandomizedShedShardedMatrixStaysOrderedAndExact) {
       EXPECT_TRUE(mismatches.empty())
           << "complete window diverged from oracle: " << mismatches.front();
 
-      const ShardedPipelineStats stats = (*engine)->stats();
+      const EngineStats stats = (*engine)->stats();
       // The filter both shed and passed work (the matrix is meaningless
       // otherwise), and the engine's accounting matches it exactly.
       EXPECT_GT(filter_shed_windows.load(), 0u);
       EXPECT_LT(filter_shed_windows.load(), oracle.size() * shards);
       EXPECT_EQ(stats.shed_subwindows, filter_shed_windows.load());
-      EXPECT_EQ(stats.aggregate.rejected_windows, filter_shed_windows.load());
-      EXPECT_EQ(stats.aggregate.shed_items, filter_shed_items.load());
-      EXPECT_EQ(stats.aggregate.dropped_windows, 0u);
-      EXPECT_EQ(stats.merge_errors, 0u);
-      EXPECT_EQ(stats.merged_windows, oracle.size());
+      EXPECT_EQ(stats.reasoning.rejected_windows, filter_shed_windows.load());
+      EXPECT_EQ(stats.reasoning.shed_items, filter_shed_items.load());
+      EXPECT_EQ(stats.reasoning.dropped_windows, 0u);
+      EXPECT_EQ(stats.delivery_errors, 0u);
+      EXPECT_EQ(stats.delivered_windows, oracle.size());
 
       // completeness < 1 on exactly the windows with a shed contribution.
       uint64_t degraded = 0;
@@ -191,7 +191,7 @@ TEST_F(OverloadTest, RandomizedShedShardedMatrixStaysOrderedAndExact) {
       }
       if (sliding) {
         // The fold kept the incremental chain warm across shed gaps.
-        EXPECT_GT(stats.aggregate.incremental_windows, 0u);
+        EXPECT_GT(stats.reasoning.incremental_windows, 0u);
       }
     }
   }
@@ -408,17 +408,17 @@ TEST_F(OverloadTest, ShardedSustainedOverloadNeverStalls) {
     EXPECT_EQ(sequences[i], i);
   }
 
-  const ShardedPipelineStats stats = (*engine)->stats();
-  EXPECT_EQ(stats.merged_windows, num_windows);
-  EXPECT_EQ(stats.merge_errors, 0u);
+  const EngineStats stats = (*engine)->stats();
+  EXPECT_EQ(stats.delivered_windows, num_windows);
+  EXPECT_EQ(stats.delivery_errors, 0u);
   EXPECT_EQ(stats.shed_subwindows,
-            stats.aggregate.dropped_windows + stats.aggregate.rejected_windows);
+            stats.reasoning.dropped_windows + stats.reasoning.rejected_windows);
   // Full-speed push against 1-worker 2-deep shards must actually shed.
   EXPECT_GT(stats.shed_subwindows, 0u);
   EXPECT_GT(stats.degraded_windows, 0u);
   EXPECT_LT(stats.mean_completeness, 1.0);
   EXPECT_LE(stats.min_completeness, stats.mean_completeness);
-  EXPECT_GT(stats.aggregate.shed_items, 0u);
+  EXPECT_GT(stats.reasoning.shed_items, 0u);
 }
 
 // The bursty generator is deterministic and its overlay does what the

@@ -87,7 +87,7 @@ TEST(WireTest, FrameDecoderWedgesOnOversizedFrame) {
 TEST(WireTest, ParsesOpenWithOptionsAndProgram) {
   auto request = ParseRequest(
       "open s1 window=100 slide=25 shards=2 async=1 inflight=3 workers=2 "
-      "reuse=solve queue=5 admission=reject batch=64\n"
+      "reuse=solve queue=5 admission=reject\n"
       "a(X) :- b(X).\n"
       "#input b/1.");
   ASSERT_TRUE(request.ok()) << request.status();
@@ -103,7 +103,6 @@ TEST(WireTest, ParsesOpenWithOptionsAndProgram) {
   EXPECT_TRUE(options.engine.pipeline.reuse_solving);
   EXPECT_EQ(options.ingest_queue_capacity, 5u);
   EXPECT_EQ(options.admission, BackpressurePolicy::kReject);
-  EXPECT_EQ(options.engine.router_batch_size, 64u);
   EXPECT_EQ(options.program_text, "a(X) :- b(X).\n#input b/1.");
 }
 
@@ -122,6 +121,9 @@ TEST(WireTest, ParseRequestRejectsMalformedInput) {
   EXPECT_EQ(ParseRequest("open s1 reuse=maybe").status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ParseRequest("open s1 color=red").status().code(),
+            StatusCode::kInvalidArgument);
+  // The sharded router no longer batches, so batch= is an unknown key.
+  EXPECT_EQ(ParseRequest("open s1 batch=64").status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -867,6 +869,50 @@ TEST(SharedPoolServerTest, SixtyFourSessionsCostPoolPlusLoopThreads) {
   }
   EXPECT_EQ(results.load(), 64u);
   server.CloseAll();
+}
+
+TEST(SharedPoolServerTest, PooledShardedSessionAddsNoThread) {
+  // A sharded engine owns no threads: its router runs on the pushing
+  // thread and its merge on the pool worker that completes a global
+  // window. On the shared pool a shards=2 async=1 session therefore costs
+  // no thread, and still matches the unsharded synchronous oracle.
+  ServerConfig config;
+  config.shared_pool_threads = 2;
+  StreamServer server(config);
+
+  const TenantSpec oracle_spec = {"sharded", TrafficProgramVariant::kP,
+                                  300,       false,
+                                  0,         false,
+                                  919};
+  SessionOptions options = TenantOptions(oracle_spec);
+  options.engine.num_shards = 2;
+  options.engine.pipeline.async = true;
+
+  const size_t before = SettledThreadCount();
+  ASSERT_GT(before, 0u) << "/proc/self/status not readable";
+  std::string transcript;
+  auto session = server.CreateSession(
+      "sharded", options, [&transcript](const SessionEvent& event) {
+        transcript += RenderEmission(event.event, event.symbols);
+      });
+  ASSERT_TRUE(session.ok()) << session.status();
+  EXPECT_EQ(CurrentThreadCount(), before);
+
+  constexpr size_t kBatches = 5;
+  constexpr size_t kBatchItems = 250;
+  GeneratorOptions generator_options;
+  generator_options.seed = oracle_spec.stream_seed;
+  SyntheticStreamGenerator generator(
+      MakeTrafficSchema((*session)->symbols()), generator_options);
+  for (size_t i = 0; i < kBatches; ++i) {
+    ASSERT_TRUE((*session)->Push(generator.GenerateWindow(kBatchItems)).ok());
+  }
+  ASSERT_TRUE((*session)->Flush().ok());
+  EXPECT_EQ(CurrentThreadCount(), before);
+  server.CloseAll();
+
+  EXPECT_EQ(transcript,
+            OracleTranscript(oracle_spec, kBatches, kBatchItems));
 }
 
 TEST_F(SessionTest, QuotaShedsWindowsBeyondMaxQueuedAndAccountsThem) {

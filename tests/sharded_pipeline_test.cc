@@ -63,7 +63,7 @@ class ShardedPipelineTest : public ::testing::Test {
   std::string ShardedTranscript(const Program& program,
                                 EngineConfig options,
                                 const std::vector<Triple>& stream,
-                                ShardedPipelineStats* stats_out = nullptr) {
+                                EngineStats* stats_out = nullptr) {
     std::string transcript;
     int64_t last_sequence = -1;
     StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
@@ -122,14 +122,14 @@ TEST_F(ShardedPipelineTest, ShardCountInvariantAgainstSyncOracle) {
     options.pipeline.async = true;
     options.pipeline.max_inflight_windows = 4;
 
-    ShardedPipelineStats stats;
+    EngineStats stats;
     EXPECT_EQ(ShardedTranscript(*program, options, stream, &stats), oracle);
-    EXPECT_EQ(stats.merged_windows, oracle_stats.windows);
-    EXPECT_EQ(stats.merged_answers, oracle_stats.answers);
-    EXPECT_EQ(stats.merge_errors, 0u);
-    EXPECT_EQ(stats.aggregate.errors, 0u);
+    EXPECT_EQ(stats.delivered_windows, oracle_stats.windows);
+    EXPECT_EQ(stats.delivered_answers, oracle_stats.answers);
+    EXPECT_EQ(stats.delivery_errors, 0u);
+    EXPECT_EQ(stats.reasoning.errors, 0u);
     // Every routed item ends up in exactly one shard sub-window.
-    EXPECT_EQ(stats.aggregate.items, oracle_stats.items);
+    EXPECT_EQ(stats.reasoning.items, oracle_stats.items);
     EXPECT_EQ(std::accumulate(stats.routed_items.begin(),
                               stats.routed_items.end(), uint64_t{0}),
               oracle_stats.items);
@@ -161,8 +161,8 @@ TEST_F(ShardedPipelineTest, ConnectedVariantWithDuplicationStaysInvariant) {
 }
 
 TEST_F(ShardedPipelineTest, SynchronousShardPipelinesAlsoMatch) {
-  // Inner async=false runs each shard's reasoning on its feeder thread:
-  // still N-way parallel across shards, still byte-identical.
+  // Inner async=false reasons the shards one after another on the caller
+  // thread, like the unsharded oracle: still byte-identical.
   StatusOr<Program> program = MakeTrafficProgram(
       symbols_, TrafficProgramVariant::kP, /*with_show=*/true);
   ASSERT_TRUE(program.ok());
@@ -227,7 +227,7 @@ TEST_F(ShardedPipelineTest, SkewedKeyRoutesEverythingToOneShardCorrectly) {
   options.pipeline.async = true;
   options.pipeline.max_inflight_windows = 4;
 
-  ShardedPipelineStats stats;
+  EngineStats stats;
   EXPECT_EQ(ShardedTranscript(*program, options, stream, &stats), oracle);
 
   ASSERT_EQ(stats.routed_items.size(), 4u);
@@ -238,8 +238,8 @@ TEST_F(ShardedPipelineTest, SkewedKeyRoutesEverythingToOneShardCorrectly) {
   ASSERT_EQ(stats.per_shard.size(), 4u);
   EXPECT_EQ(stats.per_shard[0].windows, oracle_stats.windows);
   EXPECT_EQ(stats.per_shard[1].windows, 0u);
-  EXPECT_EQ(stats.merged_windows, oracle_stats.windows);
-  EXPECT_EQ(stats.merge_errors, 0u);
+  EXPECT_EQ(stats.delivered_windows, oracle_stats.windows);
+  EXPECT_EQ(stats.delivery_errors, 0u);
 }
 
 TEST_F(ShardedPipelineTest, SlidingGlobalWindowsMatchSyncOracle) {
@@ -274,10 +274,10 @@ TEST_F(ShardedPipelineTest, SlidingGlobalWindowsMatchSyncOracle) {
           options.pipeline.window_size = 200;
           options.pipeline.window_slide = slide;
           options.pipeline.reuse_solving = reuse;
-          ShardedPipelineStats stats;
+          EngineStats stats;
           EXPECT_EQ(ShardedTranscript(*program, options, stream, &stats),
                     oracle);
-          EXPECT_EQ(stats.merge_errors, 0u);
+          EXPECT_EQ(stats.delivery_errors, 0u);
           if (slide < 200) {
             EXPECT_GT(stats.delta_punctuations, 0u);
             if (reuse && slide == 40) {
@@ -287,8 +287,8 @@ TEST_F(ShardedPipelineTest, SlidingGlobalWindowsMatchSyncOracle) {
               // (slide == 100 turns over half the window, whose ~2×slide
               // delta magnitude exceeds the fallback fraction — the
               // caches legitimately rebuild, still byte-identical above.)
-              EXPECT_GT(stats.aggregate.incremental_solve_windows, 0u);
-              EXPECT_GT(stats.aggregate.grounding_rules_retained, 0u);
+              EXPECT_GT(stats.reasoning.incremental_solve_windows, 0u);
+              EXPECT_GT(stats.reasoning.grounding_rules_retained, 0u);
             }
           } else {
             // slide == window is the tumbling full-replacement path: the
@@ -319,12 +319,12 @@ TEST_F(ShardedPipelineTest, SlidingSmallSlidesPunctuateEmptyDeltas) {
   options.pipeline.window_size = 120;
   options.pipeline.window_slide = 10;
   options.pipeline.reuse_solving = true;
-  ShardedPipelineStats stats;
+  EngineStats stats;
   EXPECT_EQ(ShardedTranscript(*program, options, stream, &stats), oracle);
   // Punctuations outnumber boundaries (several shards per boundary), and
   // boundaries outnumber slices that changed — i.e. empty-delta
   // punctuations really occurred.
-  EXPECT_GT(stats.delta_punctuations, stats.merged_windows);
+  EXPECT_GT(stats.delta_punctuations, stats.delivered_windows);
   uint64_t admitted_total = 0;
   for (const PipelineStats& shard : stats.per_shard) {
     admitted_total += shard.windows;
@@ -357,9 +357,9 @@ TEST_F(ShardedPipelineTest, SlidingDuplicateTriplesExpireAcrossBoundaries) {
     options.pipeline.window_size = 100;
     options.pipeline.window_slide = 20;
     options.pipeline.reuse_solving = true;
-    ShardedPipelineStats stats;
+    EngineStats stats;
     EXPECT_EQ(ShardedTranscript(*program, options, stream, &stats), oracle);
-    EXPECT_EQ(stats.merge_errors, 0u);
+    EXPECT_EQ(stats.delivery_errors, 0u);
     EXPECT_GT(stats.delta_punctuations, 0u);
   }
 }
@@ -397,9 +397,9 @@ TEST_F(ShardedPipelineTest, SlidingShardWithAdmissionsButNoExpirations) {
   options.pipeline.window_size = 40;
   options.pipeline.window_slide = 8;
   options.pipeline.reuse_solving = true;
-  ShardedPipelineStats stats;
+  EngineStats stats;
   EXPECT_EQ(ShardedTranscript(*program, options, stream, &stats), oracle);
-  EXPECT_EQ(stats.merge_errors, 0u);
+  EXPECT_EQ(stats.delivery_errors, 0u);
   // Phase 2 drains shard 0's slice entirely: boundaries must have
   // skipped it while its expirations folded.
   EXPECT_GT(stats.skipped_empty_slices, 0u);
@@ -427,9 +427,9 @@ TEST_F(ShardedPipelineTest, SlidingFlushBeforeFirstFillEmitsPartialWindow) {
   options.pipeline.window_size = 200;
   options.pipeline.window_slide = 50;
   options.pipeline.reuse_solving = true;
-  ShardedPipelineStats stats;
+  EngineStats stats;
   EXPECT_EQ(ShardedTranscript(*program, options, stream, &stats), oracle);
-  EXPECT_EQ(stats.merged_windows, 1u);
+  EXPECT_EQ(stats.delivered_windows, 1u);
 }
 
 TEST_F(ShardedPipelineTest, SlidingWithAsyncInnerPipelinesMatchesOracle) {
@@ -456,9 +456,9 @@ TEST_F(ShardedPipelineTest, SlidingWithAsyncInnerPipelinesMatchesOracle) {
   options.pipeline.async = true;
   options.pipeline.max_inflight_windows = 4;
   options.pipeline.reuse_solving = true;
-  ShardedPipelineStats stats;
+  EngineStats stats;
   EXPECT_EQ(ShardedTranscript(*program, options, stream, &stats), oracle);
-  EXPECT_EQ(stats.merge_errors, 0u);
+  EXPECT_EQ(stats.delivery_errors, 0u);
   EXPECT_GT(stats.delta_punctuations, 0u);
 }
 
@@ -480,7 +480,7 @@ TEST_F(ShardedPipelineTest, StatsAggregateAcrossShards) {
   (*engine)->PushBatch(MakeStream(1500));
   (*engine)->Flush();
 
-  const ShardedPipelineStats stats = (*engine)->stats();
+  const EngineStats stats = (*engine)->stats();
   ASSERT_EQ(stats.per_shard.size(), 4u);
   uint64_t windows = 0;
   uint64_t items = 0;
@@ -488,18 +488,18 @@ TEST_F(ShardedPipelineTest, StatsAggregateAcrossShards) {
     windows += shard.windows;
     items += shard.items;
   }
-  EXPECT_EQ(stats.aggregate.windows, windows);
-  EXPECT_EQ(stats.aggregate.items, items);
+  EXPECT_EQ(stats.reasoning.windows, windows);
+  EXPECT_EQ(stats.reasoning.items, items);
   EXPECT_EQ(items, 1500u);
-  EXPECT_EQ(stats.merged_windows, 5u);  // 1500 / 300 global windows.
+  EXPECT_EQ(stats.delivered_windows, 5u);  // 1500 / 300 global windows.
   EXPECT_EQ(std::accumulate(stats.routed_items.begin(),
                             stats.routed_items.end(), uint64_t{0}),
             1500u);
   EXPECT_EQ(stats.filtered_items, 0u);
   // Sub-window count >= global windows (each global window splits into
   // at least one non-empty sub-window) and <= shards * global windows.
-  EXPECT_GE(windows, stats.merged_windows);
-  EXPECT_LE(windows, 4 * stats.merged_windows);
+  EXPECT_GE(windows, stats.delivered_windows);
+  EXPECT_LE(windows, 4 * stats.delivered_windows);
 }
 
 TEST_F(ShardedPipelineTest, FlushDrainsAndEngineStaysUsable) {
@@ -523,7 +523,7 @@ TEST_F(ShardedPipelineTest, FlushDrainsAndEngineStaysUsable) {
   (*engine)->PushBatch(MakeStream(900));
   (*engine)->Flush();
   EXPECT_EQ(callbacks.load(), 3u);
-  EXPECT_EQ((*engine)->stats().merged_windows, 3u);
+  EXPECT_EQ((*engine)->stats().delivered_windows, 3u);
 
   // The engine keeps running after a flush.
   (*engine)->PushBatch(MakeStream(600, /*seed=*/5));
@@ -620,10 +620,10 @@ TEST_F(ShardedPipelineTest, FailedSubWindowsSkipTheirSlotInsteadOfStalling) {
   (*engine)->Flush();                     // Must not hang.
 
   EXPECT_EQ(callbacks.load(), 0u);
-  const ShardedPipelineStats stats = (*engine)->stats();
-  EXPECT_EQ(stats.merged_windows, 0u);
-  EXPECT_EQ(stats.merge_errors, 3u);
-  EXPECT_GE(stats.aggregate.errors, 3u);  // Per-sub-window failures.
+  const EngineStats stats = (*engine)->stats();
+  EXPECT_EQ(stats.delivered_windows, 0u);
+  EXPECT_EQ(stats.delivery_errors, 3u);
+  EXPECT_GE(stats.reasoning.errors, 3u);  // Per-sub-window failures.
 }
 
 TEST_F(ShardedPipelineTest, ThrowingCallbackIsCountedNotFatal) {
@@ -649,9 +649,9 @@ TEST_F(ShardedPipelineTest, ThrowingCallbackIsCountedNotFatal) {
   (*engine)->Flush();
 
   EXPECT_EQ(delivered.load(), 2u);  // Windows 1 and 2 still arrive.
-  const ShardedPipelineStats stats = (*engine)->stats();
-  EXPECT_EQ(stats.merge_errors, 1u);
-  EXPECT_EQ(stats.merged_windows, 2u);
+  const EngineStats stats = (*engine)->stats();
+  EXPECT_EQ(stats.delivery_errors, 1u);
+  EXPECT_EQ(stats.delivered_windows, 2u);
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ class SolvingReuseTest : public ::testing::Test {
   std::string ShardedTranscript(const Program& program,
                                 EngineConfig options,
                                 const std::vector<Triple>& stream,
-                                ShardedPipelineStats* stats_out = nullptr) {
+                                EngineStats* stats_out = nullptr) {
     std::string transcript;
     StatusOr<std::unique_ptr<ShardedPipelineEngine>> engine =
         ShardedPipelineEngine::Create(
@@ -206,14 +206,14 @@ TEST_F(SolvingReuseTest, ShardedEngineMatchesWithAndWithoutReuse) {
     warm.pipeline.reuse_solving = true;
 
     const std::string want = ShardedTranscript(program, base, stream);
-    ShardedPipelineStats warm_stats;
+    EngineStats warm_stats;
     const std::string got =
         ShardedTranscript(program, warm, stream, &warm_stats);
     EXPECT_FALSE(want.empty());
     EXPECT_EQ(want, got);
     // Tumbling global windows: the grounder cache falls back and the
     // paired solver re-ingests — correct, never corrupting answers.
-    EXPECT_GT(warm_stats.aggregate.solve_rebuilds, 0u);
+    EXPECT_GT(warm_stats.reasoning.solve_rebuilds, 0u);
   }
 }
 
@@ -243,12 +243,12 @@ TEST_F(SolvingReuseTest, ShardedSlidingEngineKeepsPersistentSolversWarm) {
     warm.pipeline.reuse_solving = true;  // Implies reuse_grounding.
 
     EXPECT_EQ(ShardedTranscript(program, base, stream), oracle);
-    ShardedPipelineStats warm_stats;
+    EngineStats warm_stats;
     EXPECT_EQ(ShardedTranscript(program, warm, stream, &warm_stats), oracle);
     EXPECT_GT(warm_stats.delta_punctuations, 0u);
-    EXPECT_GT(warm_stats.aggregate.incremental_solve_windows, 0u);
-    EXPECT_GT(warm_stats.aggregate.solver_rules_retained, 0u);
-    EXPECT_GT(warm_stats.aggregate.warm_start_hits, 0u);
+    EXPECT_GT(warm_stats.reasoning.incremental_solve_windows, 0u);
+    EXPECT_GT(warm_stats.reasoning.solver_rules_retained, 0u);
+    EXPECT_GT(warm_stats.reasoning.warm_start_hits, 0u);
   }
 }
 
